@@ -55,7 +55,7 @@ from .simulation import (
     CellResult,
     SimulationConfig,
     StudyGrid,
-    simulate_cell,
+    run_cells,
     study_configs,
 )
 
@@ -92,15 +92,24 @@ def _csv_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+def _usage_exit(message: str):
+    sys.stderr.write(f"usage error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
 def _load_config_args(path: str) -> list[str]:
     """Turn 'key = value' lines into flag tokens prepended before CLI flags."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        _usage_exit(f"cannot read config file {path}: {exc.strerror or exc}")
     tokens = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(EXIT_USAGE)
+            _usage_exit(f"config file {path}, line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "yes"):
@@ -281,24 +290,11 @@ def _run_simulate(args) -> int:
         min_components=args.min_components,
         components=args.components,
     )
-    configs = study_configs(grid, base)
-
-    results: list[CellResult] = []
-    failures: list[dict] = []
-    if args.workers and args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_safe_cell, configs))
-    else:
-        outcomes = [_safe_cell(config) for config in configs]
-    for config, outcome in zip(configs, outcomes):
-        if isinstance(outcome, CellResult):
-            results.append(outcome)
-        else:
-            failures.append(
-                {"n": config.n, "p": config.p, "rho": config.rho, "error": outcome}
-            )
+    outcomes = run_cells(study_configs(grid, base), args.workers)
+    results = [outcome for outcome in outcomes if isinstance(outcome, CellResult)]
+    failures = [
+        outcome.to_dict() for outcome in outcomes if not isinstance(outcome, CellResult)
+    ]
 
     tables = build_study_tables(results)
     text = "\n".join(render_table_text(table) for table in tables)
@@ -325,13 +321,6 @@ def _run_simulate(args) -> int:
     return EXIT_OK if not failures else EXIT_NUMERIC
 
 
-def _safe_cell(config):
-    try:
-        return simulate_cell(config)
-    except (CellFailedError, SingularSystemError, DecompositionError) as exc:
-        return str(exc)
-
-
 _PAIR_THEOREMS = {
     (EstimatorKind.PCLTL, EstimatorKind.ML): "T3_1",
     (EstimatorKind.PCLTL, EstimatorKind.PCLR): "T3_2",
@@ -339,7 +328,28 @@ _PAIR_THEOREMS = {
 }
 
 
+def _parse_pairs(text: str) -> list[tuple[EstimatorKind, EstimatorKind]]:
+    """Split 'challenger:incumbent,...' into estimator pairs, naming bad tokens."""
+    names = ", ".join(kind.value for kind in EstimatorKind)
+    pairs = []
+    for token in text.split(","):
+        left, colon, right = token.strip().partition(":")
+        if not colon:
+            raise ValueError(
+                f"--pair token {token!r} is not of the form challenger:incumbent"
+            )
+        try:
+            pairs.append((EstimatorKind(left), EstimatorKind(right)))
+        except ValueError:
+            raise ValueError(
+                f"--pair token {token!r} names an unknown estimator "
+                f"(choose from {names})"
+            ) from None
+    return pairs
+
+
 def _run_compare(args) -> int:
+    comparisons = _parse_pairs(args.pair)
     dataset, fit, decomp, r, params, _ = _fit_pipeline(args)
     split = decomp.split(r)
     if args.beta_source == "plugin":
@@ -354,12 +364,6 @@ def _run_compare(args) -> int:
                 f"beta file must hold {dataset.p} values, got {beta.shape[0]}"
             )
         beta_source = "true_beta"
-
-    comparisons = []
-    for token in args.pair.split(","):
-        left, _, right = token.strip().partition(":")
-        pair = (EstimatorKind(left), EstimatorKind(right))
-        comparisons.append(pair)
 
     rows = []
     for challenger, incumbent in comparisons:

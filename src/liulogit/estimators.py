@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecompositionError, SingularSystemError
-from .model import LogisticFit
+from .model import BatchFit, LogisticFit, stacked_gram
 
 __all__ = [
     "SpectralDecomposition",
@@ -31,7 +31,9 @@ __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
     "KSelection",
+    "BatchDecomposition",
     "spectral_decompose",
+    "spectral_decompose_batch",
     "select_components",
     "mle_estimate",
     "ltl_estimate",
@@ -39,7 +41,9 @@ __all__ = [
     "pcltl_estimate",
     "choose_d",
     "choose_k",
+    "choose_k_batch",
     "point_estimate",
+    "batch_estimates",
 ]
 
 # floor applied to squared ML eigencoordinates inside the k rule; the
@@ -179,6 +183,34 @@ class KSelection(NamedTuple):
     clamped: bool
 
 
+class BatchDecomposition(NamedTuple):
+    """Descending, sign-fixed eigenpairs of a stack of X'VX matrices.
+
+    ``T`` is (b, p, p) and ``lambdas`` (b, p), row for row what
+    ``spectral_decompose`` returns; ``positive_definite`` is False for the
+    rows where ``spectral_decompose`` raises ``DecompositionError``.
+    """
+
+    T: np.ndarray
+    lambdas: np.ndarray
+    positive_definite: np.ndarray
+
+
+def _descending_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of one symmetric matrix or a stack of them (last two axes).
+
+    Eigenvalues come out descending, ties in LAPACK's order; each
+    eigenvector's largest-magnitude entry is made positive.
+    """
+    lam, vec = np.linalg.eigh(A)
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
+    anchor = np.argmax(np.abs(vec), axis=-2)
+    flip = np.sign(np.take_along_axis(vec, anchor[..., None, :], axis=-2))
+    return lam, vec * flip
+
+
 def spectral_decompose(X, v_diag) -> SpectralDecomposition:
     """Eigendecompose X'VX into descending, sign-fixed eigenpairs."""
     X = np.asarray(X, dtype=float)
@@ -187,31 +219,46 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
     A = 0.5 * (A + A.T)
     if not np.all(np.isfinite(A)):
         raise DecompositionError("X'VX contains non-finite entries")
-    lam, vec = np.linalg.eigh(A)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order]
+    lam, vec = _descending_eigh(A)
     if lam[-1] <= 0.0:
         raise DecompositionError(
             f"X'VX not positive definite (smallest eigenvalue {lam[-1]:.3e})",
             smallest_eigenvalue=float(lam[-1]),
         )
-    # fix signs: largest-magnitude entry of each column points up
-    anchor = np.argmax(np.abs(vec), axis=0)
-    flip = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    vec = vec * flip
     return SpectralDecomposition(T=vec, lambdas=lam)
 
 
-def select_components(lambdas, ptv_threshold: float) -> int:
-    """Smallest r whose leading eigenvalue share reaches the threshold."""
+def spectral_decompose_batch(X, v_rows) -> BatchDecomposition:
+    """``spectral_decompose`` for every weight row of v_rows (b, n) at once.
+
+    X'VX is formed by ``stacked_gram`` and all rows share one stacked
+    ``eigh``.
+    """
+    A = stacked_gram(np.asarray(X, dtype=float), np.asarray(v_rows, dtype=float))
+    A = 0.5 * (A + A.swapaxes(-1, -2))
+    finite = np.all(np.isfinite(A), axis=(-2, -1))
+    # non-finite rows are decomposed as the identity and then flagged
+    A[~finite] = np.eye(X.shape[1])
+    lam, vec = _descending_eigh(A)
+    return BatchDecomposition(
+        T=vec, lambdas=lam, positive_definite=finite & (lam[:, -1] > 0.0)
+    )
+
+
+def select_components(lambdas, ptv_threshold: float):
+    """Smallest r whose leading eigenvalue share reaches the threshold.
+
+    ``lambdas`` may carry leading batch axes; r is then an integer array.
+    """
     lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0.0) or np.any(np.diff(lam) > 0):
+    if np.any(lam <= 0.0) or np.any(np.diff(lam, axis=-1) > 0):
         raise ValueError("lambdas must be positive and sorted descending")
     if not (0.0 < ptv_threshold <= 1.0):
         raise ValueError("ptv_threshold must lie in (0, 1]")
-    shares = np.cumsum(lam) / np.sum(lam)
-    return int(np.searchsorted(shares, ptv_threshold, side="left")) + 1
+    shares = np.cumsum(lam, axis=-1) / np.sum(lam, axis=-1, keepdims=True)
+    # shares ascend, so the count below the threshold is its left insertion point
+    r = np.count_nonzero(shares < ptv_threshold, axis=-1) + 1
+    return int(r) if r.ndim == 0 else r
 
 
 def _weighted_products(fit: LogisticFit, X) -> tuple[np.ndarray, np.ndarray]:
@@ -285,12 +332,16 @@ def pcltl_estimate(
     raise ValueError(f"unknown method {method!r}")
 
 
-def choose_d(lambdas) -> float:
-    """Rule-based d = min_j lambda_j/(1+lambda_j) / 2, always in (0, 1/2)."""
+def choose_d(lambdas):
+    """Rule-based d = min_j lambda_j/(1+lambda_j) / 2, always in (0, 1/2).
+
+    ``lambdas`` may carry leading batch axes; d is then an array.
+    """
     lam = np.asarray(lambdas, dtype=float)
     if np.any(lam <= 0.0):
         raise ValueError("lambdas must be positive")
-    return float(0.5 * np.min(lam / (1.0 + lam)))
+    d = 0.5 * np.min(lam / (1.0 + lam), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def choose_k(lambdas, alpha_hat, d: float, floor: float = ALPHA_FLOOR) -> KSelection:
@@ -298,7 +349,17 @@ def choose_k(lambdas, alpha_hat, d: float, floor: float = ALPHA_FLOOR) -> KSelec
 
     k = mean_j (lambda_j - d*(1 + lambda_j*alpha_j^2)) / (lambda_j*alpha_j^2),
     with |alpha_j| floored to avoid division blow-up.  A nonpositive result
-    is clamped to ``K_MIN`` and flagged.
+    is clamped to ``K_MIN`` and flagged.  ``choose_k_batch`` applies the
+    same rule to many fits at once.
+    """
+    value, clamped = choose_k_batch(lambdas, alpha_hat, d, floor)
+    return KSelection(float(value), bool(clamped))
+
+
+def choose_k_batch(lambdas, alpha_hat, d, floor: float = ALPHA_FLOOR) -> KSelection:
+    """``choose_k`` over leading batch axes of lambdas, alpha_hat and d.
+
+    Both fields of the result are arrays of the batch shape.
     """
     lam = np.asarray(lambdas, dtype=float)
     alpha = np.asarray(alpha_hat, dtype=float)
@@ -306,11 +367,11 @@ def choose_k(lambdas, alpha_hat, d: float, floor: float = ALPHA_FLOOR) -> KSelec
         raise ValueError("lambdas and alpha_hat must have equal length")
     if np.any(lam <= 0.0):
         raise ValueError("lambdas must be positive")
+    d = np.asarray(d, dtype=float)[..., None]
     alpha_sq = np.maximum(alpha**2, floor**2)
-    k = float(np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq)))
-    if k <= 0.0 or not np.isfinite(k):
-        return KSelection(K_MIN, True)
-    return KSelection(k, False)
+    k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
+    clamped = (k <= 0.0) | ~np.isfinite(k)
+    return KSelection(np.where(clamped, K_MIN, k), clamped)
 
 
 def point_estimate(fit: LogisticFit, X, spec: EstimatorSpec) -> np.ndarray:
@@ -326,3 +387,41 @@ def point_estimate(fit: LogisticFit, X, spec: EstimatorSpec) -> np.ndarray:
     if spec.kind is EstimatorKind.PCLTL:
         return pcltl_estimate(fit, X, split, spec.params)
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
+
+
+def batch_estimates(
+    fit: BatchFit, X, decomp: BatchDecomposition, r, k, d
+) -> dict:
+    """The four estimators for a stack of converged fits, row by row.
+
+    Row i matches ML = ``fit.beta``, ``ltl_estimate``, ``pclr_estimate`` and
+    ``pcltl_estimate`` for that row's fit, eigendecomposition, component
+    count ``r[i]`` and parameters ``k[i]``, ``d[i]``, to roundoff.  Each is
+    a filter on the eigen-coordinates c = T'X'Vz, using
+    (X'VX + kI)^{-1} = T diag(1/(lambda+k)) T':
+
+        LTL    T diag(1/(lambda+k)) (c - d T'b_ml)
+        PCLR   T diag(1/lambda on the r leading axes, 0 after) c
+        PCLTL  T diag((lambda-d)/((lambda+k) lambda) on the r leading axes) c
+    """
+    X = np.asarray(X, dtype=float)
+    T, lam = decomp.T, decomp.lambdas
+    Tt = T.swapaxes(-1, -2)
+    rhs = np.matmul(X.T, (fit.v_diag * fit.z)[..., None])
+    coords = (Tt @ rhs)[..., 0]
+    alpha = (Tt @ fit.beta[..., None])[..., 0]
+    k = np.asarray(k, dtype=float)[:, None]
+    d = np.asarray(d, dtype=float)[:, None]
+    retained = np.arange(lam.shape[-1]) < np.asarray(r)[:, None]
+
+    def back(filtered):
+        return (T @ filtered[..., None])[..., 0]
+
+    return {
+        EstimatorKind.ML: fit.beta,
+        EstimatorKind.LTL: back((coords - d * alpha) / (lam + k)),
+        EstimatorKind.PCLR: back(np.where(retained, coords / lam, 0.0)),
+        EstimatorKind.PCLTL: back(
+            np.where(retained, (lam - d) / ((lam + k) * lam) * coords, 0.0)
+        ),
+    }

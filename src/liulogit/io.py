@@ -8,7 +8,9 @@ order so identical studies serialize to identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,60 +41,77 @@ def parse_dataset(
     """Read a delimited numeric file into a Dataset.
 
     The response column must contain only 0/1 values; remaining columns
-    become covariates in file order.  Parse failures name the 1-based
-    offending line.
+    become covariates in file order.  Parse failures, including NaN or
+    infinite cells, name the 1-based offending line.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetFormatError(f"no such file: {path}")
     rows = []
     expected_fields = None
+    for lineno, line in _data_lines(path, has_header):
+        fields = [f.strip() for f in line.split(delimiter)]
+        if expected_fields is None:
+            expected_fields = len(fields)
+            if expected_fields < 2:
+                raise DatasetFormatError(
+                    f"line {lineno}: need at least 2 columns, got {expected_fields}",
+                    line=lineno,
+                )
+            if not (0 <= response_column < expected_fields):
+                raise DatasetFormatError(
+                    f"response column {response_column} out of range "
+                    f"for {expected_fields} columns",
+                    line=lineno,
+                )
+        elif len(fields) != expected_fields:
+            raise DatasetFormatError(
+                f"line {lineno}: expected {expected_fields} fields, "
+                f"got {len(fields)}",
+                line=lineno,
+            )
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {lineno}: non-numeric cell", line=lineno
+            ) from None
+        if values[response_column] not in (0.0, 1.0):
+            if not math.isfinite(values[response_column]):
+                raise _non_finite(lineno)
+            raise DatasetFormatError(
+                f"line {lineno}: response value {fields[response_column]} "
+                "is not 0 or 1",
+                line=lineno,
+            )
+        rows.append(values)
+    if not rows:
+        raise DatasetFormatError(f"no data rows in {path}")
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # rare path: a second pass finds the line of the first bad row
+        bad_row = int(np.argmin(finite))
+        lineno, _ = next(itertools.islice(_data_lines(path, has_header), bad_row, None))
+        raise _non_finite(lineno)
+    y = data[:, response_column]
+    X = np.delete(data, response_column, axis=1)
+    return Dataset(X=X, y=y)
+
+
+def _data_lines(path: Path, has_header: bool):
+    """Yield (1-based line number, stripped text) for each non-blank data line."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if lineno == 1 and has_header:
                 continue
             line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(delimiter)]
-            if expected_fields is None:
-                expected_fields = len(fields)
-                if expected_fields < 2:
-                    raise DatasetFormatError(
-                        f"line {lineno}: need at least 2 columns, got {expected_fields}",
-                        line=lineno,
-                    )
-                if not (0 <= response_column < expected_fields):
-                    raise DatasetFormatError(
-                        f"response column {response_column} out of range "
-                        f"for {expected_fields} columns",
-                        line=lineno,
-                    )
-            elif len(fields) != expected_fields:
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {expected_fields} fields, "
-                    f"got {len(fields)}",
-                    line=lineno,
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: non-numeric cell", line=lineno
-                ) from None
-            if values[response_column] not in (0.0, 1.0):
-                raise DatasetFormatError(
-                    f"line {lineno}: response value {fields[response_column]} "
-                    "is not 0 or 1",
-                    line=lineno,
-                )
-            rows.append(values)
-    if not rows:
-        raise DatasetFormatError(f"no data rows in {path}")
-    data = np.asarray(rows, dtype=float)
-    y = data[:, response_column]
-    X = np.delete(data, response_column, axis=1)
-    return Dataset(X=X, y=y)
+            if line:
+                yield lineno, line
+
+
+def _non_finite(lineno: int) -> DatasetFormatError:
+    return DatasetFormatError(f"line {lineno}: non-finite cell", line=lineno)
 
 
 def write_dataset(dataset: Dataset, path, header: bool = True) -> None:

@@ -8,7 +8,7 @@ probabilities, Bernoulli weights and the fitting loop are defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -24,7 +24,15 @@ __all__ = [
     "weight_diagonal",
     "working_response",
     "irls_fit",
+    "BatchFit",
+    "irls_fit_batch",
 ]
+
+# step-halving schedule shared by the scalar and batched IRLS loops: trial
+# scales 1, 1/2, ..., 1/1024, each accepted when the log-likelihood drops by
+# no more than LOGLIK_SLACK * (1 + |loglik|) (summation roundoff)
+HALVING_TRIES = 11
+LOGLIK_SLACK = 1e-11
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -41,6 +49,21 @@ def _as_vector(v, name: str) -> np.ndarray:
     return v
 
 
+def _as_design(X) -> np.ndarray:
+    X = _as_matrix(X)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("design matrix contains non-finite entries")
+    n, p = X.shape
+    if not (n >= p >= 1):
+        raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
+    return X
+
+
+def _check_binary(y: np.ndarray):
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("response entries must be exactly 0 or 1")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n-by-p real design matrix paired with a 0/1 response vector."""
@@ -49,17 +72,11 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = _as_matrix(self.X)
         y = _as_vector(self.y, "y")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("design matrix contains non-finite entries")
-        n, p = X.shape
-        if not (n >= p >= 1):
-            raise ValueError(f"need n >= p >= 1, got n={n}, p={p}")
-        if y.shape[0] != n:
-            raise ValueError(f"response length {y.shape[0]} != row count {n}")
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise ValueError("response entries must be exactly 0 or 1")
+        X = _as_design(self.X)
+        if y.shape[0] != X.shape[0]:
+            raise ValueError(f"response length {y.shape[0]} != row count {X.shape[0]}")
+        _check_binary(y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -154,9 +171,9 @@ def working_response(X, beta, y, clip: float = 1e-10) -> np.ndarray:
     return X @ beta + (y - pi) / (pi * (1.0 - pi))
 
 
-def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # sum(y*eta - log(1+exp(eta))), safe for large |eta|
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # sum(y*eta - log(1+exp(eta))) over the last axis, safe for large |eta|
+    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
 
 
 def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
@@ -179,7 +196,7 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
     clip = config.probability_clip
 
     beta = np.zeros(p)
-    loglik = _stable_loglik(X @ beta, y)
+    loglik = float(_stable_loglik(X @ beta, y))
     trace = [loglik]
     converged = False
     step_norm = np.inf
@@ -207,7 +224,7 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
         step_norm = float(np.max(np.abs(step)))
         if step_norm <= config.tolerance:
             beta = beta + step
-            loglik = _stable_loglik(X @ beta, y)
+            loglik = float(_stable_loglik(X @ beta, y))
             trace.append(loglik)
             converged = True
             break
@@ -215,12 +232,12 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
         # step-halving: never accept a likelihood decrease beyond summation
         # roundoff (the slack keeps tight tolerances from stalling at the
         # optimum on floating-point noise)
-        slack = 1e-11 * (1.0 + abs(loglik))
+        slack = LOGLIK_SLACK * (1.0 + abs(loglik))
         scale = 1.0
         accepted = False
-        for _ in range(11):
+        for _ in range(HALVING_TRIES):
             candidate = beta + scale * step
-            cand_loglik = _stable_loglik(X @ candidate, y)
+            cand_loglik = float(_stable_loglik(X @ candidate, y))
             if cand_loglik >= loglik - slack:
                 accepted = True
                 break
@@ -247,4 +264,154 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
         converged=converged,
         final_step_norm=step_norm,
         loglik_trace=tuple(trace),
+    )
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """IRLS outcomes for a stack of responses that share one design matrix.
+
+    Row i holds what ``irls_fit`` gives for response row i: ``beta`` (b, p),
+    ``v_diag`` and ``z`` (b, n) at the final iterate, ``iterations`` and
+    ``converged``.  ``singular`` marks the rows for which ``irls_fit``
+    raises ``SingularSystemError``; they keep the iterate reached before
+    the failed solve and are never converged.
+    """
+
+    beta: np.ndarray
+    v_diag: np.ndarray
+    z: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray
+
+    def select(self, rows) -> "BatchFit":
+        """The fits of the given rows (index array or boolean mask)."""
+        return BatchFit(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+# byte budget for the (rows, p, n) temporary of one stacked X'VX product
+GRAM_CHUNK_BYTES = 1 << 18
+
+
+def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+    """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
+
+    Each matrix is one (p x n)(n x p) product, the shape ``irls_fit`` and
+    ``spectral_decompose`` issue.  Rows go through in chunks whose scaled
+    copy of X' fits ``GRAM_CHUNK_BYTES`` (one row per chunk when a single
+    row needs more), so the temporary does not grow with the row count.
+    """
+    n, p = X.shape
+    gram = np.empty((v_rows.shape[0], p, p))
+    chunk = max(1, GRAM_CHUNK_BYTES // (8 * n * p))
+    for lo in range(0, v_rows.shape[0], chunk):
+        hi = lo + chunk
+        np.matmul(X.T[None] * v_rows[lo:hi, None, :], X, out=gram[lo:hi])
+    return gram
+
+
+def _stacked_xb(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # X @ beta for each row of B, one matrix-vector product per row
+    return np.matmul(X, B[..., None])[..., 0]
+
+
+def _newton_steps(hessian: np.ndarray, score: np.ndarray):
+    """Solve each system of a stack; flag rows singular or non-finite."""
+    try:
+        steps = np.linalg.solve(hessian, score[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the stacked call: solve row by row
+        steps = np.full_like(score, np.nan)
+        for i in range(score.shape[0]):
+            try:
+                steps[i] = np.linalg.solve(hessian[i], score[i])
+            except np.linalg.LinAlgError:
+                pass
+    return steps, ~np.all(np.isfinite(steps), axis=-1)
+
+
+def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
+    """``irls_fit`` for every row of the 0/1 response matrix Y at once.
+
+    Each row follows ``irls_fit`` step for step: the start at beta = 0,
+    the Newton step, the sub-tolerance rule, the step-halving schedule and
+    the iteration cap, so row i agrees with
+    ``irls_fit(Dataset(X, Y[i]), config)`` to floating-point roundoff.
+    Rows leave the active set as they converge, stall or meet a singular
+    system; a singular row is flagged in ``singular`` instead of raising.
+    Every matrix product is one row's product with X, the shapes
+    ``irls_fit`` issues, so no BLAS call grows with the number of rows.
+    """
+    X = _as_design(X)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != X.shape[0]:
+        raise ValueError(f"Y must have shape (b, {X.shape[0]}), got {Y.shape}")
+    _check_binary(Y)
+    clip = config.probability_clip
+    tolerance = config.tolerance
+
+    beta = np.zeros((Y.shape[0], X.shape[1]))
+    eta = _stacked_xb(X, beta)
+    loglik = _stable_loglik(eta, Y)
+    iterations = np.zeros(Y.shape[0], dtype=int)
+    converged = np.zeros(Y.shape[0], dtype=bool)
+    singular = np.zeros(Y.shape[0], dtype=bool)
+    active = np.arange(Y.shape[0])
+
+    for iteration in range(1, config.max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        pi = np.clip(expit(eta[active]), clip, 1.0 - clip)
+        v = pi * (1.0 - pi)
+        hessian = stacked_gram(X, v)
+        score = np.matmul(X.T, (Y[active] - pi)[..., None])[..., 0]
+        step, bad = _newton_steps(hessian, score)
+        singular[active[bad]] = True
+
+        # sub-tolerance steps are taken unconditionally (see irls_fit)
+        step_norm = np.max(np.abs(step), axis=-1)
+        done = ~bad & (step_norm <= tolerance)
+        beta[active[done]] += step[done]
+        converged[active[done]] = True
+
+        trial = ~bad & ~done
+        rows, step = active[trial], step[trial]
+        base, y, start = beta[rows], Y[rows], loglik[rows]
+        floor = start - LOGLIK_SLACK * (1.0 + np.abs(start))
+        scale = np.ones(rows.size)
+        accepted = np.zeros(rows.size, dtype=bool)
+        pending = np.arange(rows.size)
+        for _ in range(HALVING_TRIES):
+            if pending.size == 0:
+                break
+            candidate = base[pending] + scale[pending, None] * step[pending]
+            cand_eta = _stacked_xb(X, candidate)
+            cand_loglik = _stable_loglik(cand_eta, y[pending])
+            ok = cand_loglik >= floor[pending]
+            taken = rows[pending[ok]]
+            beta[taken] = candidate[ok]
+            eta[taken] = cand_eta[ok]
+            loglik[taken] = cand_loglik[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            scale[pending] *= 0.5
+
+        # rows whose halving failed stop here, unconverged
+        step_norm = np.max(np.abs(scale[:, None] * step), axis=-1)
+        small = accepted & (step_norm <= tolerance)
+        converged[rows[small]] = True
+        active = rows[accepted & ~small]
+
+    eta = _stacked_xb(X, beta)
+    pi = np.clip(expit(eta), clip, 1.0 - clip)
+    v = pi * (1.0 - pi)
+    return BatchFit(
+        beta=beta,
+        v_diag=v,
+        z=eta + (Y - pi) / v,
+        iterations=iterations,
+        converged=converged,
+        singular=singular,
     )

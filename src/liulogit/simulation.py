@@ -22,25 +22,25 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import CellFailedError, DecompositionError, SingularSystemError
+from .errors import CellFailedError
 from .estimators import (
+    BatchDecomposition,
     EstimatorKind,
-    ShrinkageParams,
+    batch_estimates,
     choose_d,
-    choose_k,
-    ltl_estimate,
-    pclr_estimate,
-    pcltl_estimate,
+    choose_k_batch,
     select_components,
-    spectral_decompose,
+    spectral_decompose_batch,
 )
-from .model import Dataset, FitConfig, irls_fit
+from .model import FitConfig, irls_fit_batch
 
 __all__ = [
     "SimulationConfig",
     "CellResult",
+    "CellFailure",
     "StudyGrid",
     "DESIGN_COLUMN_NORM",
+    "REPLICATION_BLOCK",
     "components_for_p",
     "generate_design",
     "scale_columns",
@@ -49,6 +49,7 @@ __all__ = [
     "cell_design",
     "simulate_cell",
     "study_configs",
+    "run_cells",
     "run_study",
     "derive_cell_seed",
     "ptv_for_p",
@@ -56,6 +57,11 @@ __all__ = [
 
 # common column norm for the scale-free design convention (norm^2 = 8)
 DESIGN_COLUMN_NORM = 2.0 * math.sqrt(2.0)
+
+# replications fitted together: enough to spread the per-step Python
+# dispatch thin, while a cell's working memory stays a few
+# (REPLICATION_BLOCK, n) arrays whatever its replication count
+REPLICATION_BLOCK = 64
 
 ESTIMATOR_ORDER = (
     EstimatorKind.ML,
@@ -234,6 +240,15 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     or whose weighted cross-product is numerically indefinite are dropped
     from the MSE denominator and counted.
 
+    Replications run in blocks of ``REPLICATION_BLOCK`` that share the
+    design: one ``rng.random((block, n))`` draw (the same stream as that
+    many successive ``generate_response`` calls), one ``irls_fit_batch``,
+    one ``spectral_decompose_batch`` and the rules and estimators over the
+    block's rows.  Every replication gets the per-replication
+    ``irls_fit`` / ``spectral_decompose`` result to roundoff, so cell
+    results equal that loop's to roundoff and depend on neither the
+    process nor the worker count.
+
     Raises
     ------
     CellFailedError
@@ -241,7 +256,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     """
     rng = _cell_rng(config)
     X, beta = _build_design(config, rng)
-    p = config.p
+    pi = expit(X @ beta)
 
     sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
     stored = {kind: [] for kind in ESTIMATOR_ORDER} if keep_estimates else None
@@ -250,51 +265,42 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     k_total = 0.0
     d_total = 0.0
 
-    for _ in range(config.replications):
-        y = generate_response(X, beta, rng)
-        try:
-            fit = irls_fit(Dataset(X, y), config.fit)
-        except SingularSystemError:
-            divergent += 1
+    for start in range(0, config.replications, REPLICATION_BLOCK):
+        size = min(REPLICATION_BLOCK, config.replications - start)
+        Y = (rng.random((size, config.n)) < pi).astype(float)
+        fit = irls_fit_batch(X, Y, config.fit)
+        fit = fit.select(fit.converged)
+        decomp = spectral_decompose_batch(X, fit.v_diag)
+        kept = decomp.positive_definite
+        divergent += size - int(np.count_nonzero(kept))
+        if not kept.any():
             continue
-        if not fit.converged:
-            divergent += 1
-            continue
-        try:
-            decomp = spectral_decompose(X, fit.v_diag)
-        except DecompositionError:
-            divergent += 1
-            continue
+        fit = fit.select(kept)
+        decomp = BatchDecomposition(*(part[kept] for part in decomp))
+        lam = decomp.lambdas
 
         if config.components is not None:
-            r = config.components
+            r = np.full(lam.shape[0], config.components)
         else:
-            r = min(
-                max(
-                    select_components(decomp.lambdas, config.ptv_threshold),
+            r = np.minimum(
+                np.maximum(
+                    select_components(lam, config.ptv_threshold),
                     config.min_components,
                 ),
-                p,
+                config.p,
             )
-        split = decomp.split(r)
-        alpha = decomp.T.T @ fit.beta
-        d = choose_d(decomp.lambdas)
-        k, _ = choose_k(decomp.lambdas, alpha, d)
-        params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
+        alpha = (decomp.T.swapaxes(-1, -2) @ fit.beta[..., None])[..., 0]
+        d = choose_d(lam)
+        k = choose_k_batch(lam, alpha, d).value
 
-        estimates = {
-            EstimatorKind.ML: fit.beta,
-            EstimatorKind.LTL: ltl_estimate(fit, X, params),
-            EstimatorKind.PCLR: pclr_estimate(fit, X, split),
-            EstimatorKind.PCLTL: pcltl_estimate(fit, X, split, params),
-        }
+        estimates = batch_estimates(fit, X, decomp, r, k, d)
         for kind, estimate in estimates.items():
             sums[kind] += float(np.sum((estimate - beta) ** 2))
             if keep_estimates:
                 stored[kind].append(estimate)
-        r_total += r
-        k_total += k
-        d_total += d
+        r_total += float(np.sum(r))
+        k_total += float(np.sum(k))
+        d_total += float(np.sum(d))
 
     converged = config.replications - divergent
     if converged == 0:
@@ -314,7 +320,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         mean_k=k_total / converged,
         mean_d=d_total / converged,
         estimates=(
-            {kind: np.asarray(stored[kind]) for kind in ESTIMATOR_ORDER}
+            {kind: np.concatenate(stored[kind]) for kind in ESTIMATOR_ORDER}
             if keep_estimates
             else None
         ),
@@ -371,6 +377,46 @@ def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationCon
     return configs
 
 
+@dataclass(frozen=True)
+class CellFailure:
+    """A cell in which every replication diverged, with the reason."""
+
+    config: SimulationConfig
+    error: str
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.config.n,
+            "p": self.config.p,
+            "rho": self.config.rho,
+            "error": self.error,
+        }
+
+
+def _cell_outcome(config: SimulationConfig) -> CellResult | CellFailure:
+    try:
+        return simulate_cell(config)
+    except CellFailedError as exc:
+        return CellFailure(config, str(exc))
+
+
+def run_cells(
+    configs: list[SimulationConfig],
+    workers: int | None = None,
+) -> list[CellResult | CellFailure]:
+    """Simulate every cell, optionally across processes, keeping failures.
+
+    Outcomes arrive in input order either way; parallel and serial runs are
+    bit-identical because each cell owns an independently derived stream.
+    A failed cell yields a ``CellFailure`` in its place instead of stopping
+    the run.
+    """
+    if workers is None or workers <= 1:
+        return [_cell_outcome(config) for config in configs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_cell_outcome, configs))
+
+
 def run_study(
     grid: StudyGrid,
     base: SimulationConfig,
@@ -380,10 +426,14 @@ def run_study(
 
     Results arrive in grid order either way; parallel and serial runs are
     bit-identical because each cell owns an independently derived stream.
-    Cell failures propagate as ``CellFailedError`` with coordinates.
+    The first failed cell in grid order raises ``CellFailedError`` with
+    its coordinates.
     """
-    configs = study_configs(grid, base)
-    if workers is None or workers <= 1:
-        return [simulate_cell(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(simulate_cell, configs))
+    results = run_cells(study_configs(grid, base), workers)
+    for outcome in results:
+        if isinstance(outcome, CellFailure):
+            config = outcome.config
+            raise CellFailedError(
+                outcome.error, n=config.n, p=config.p, rho=config.rho
+            )
+    return results

@@ -3,13 +3,16 @@ import pytest
 from scipy.optimize import minimize
 
 from liulogit import (
+    BatchFit,
     DecompositionError,
     EstimatorKind,
     EstimatorSpec,
     LogisticFit,
     ShrinkageParams,
+    batch_estimates,
     choose_d,
     choose_k,
+    choose_k_batch,
     ltl_estimate,
     mle_estimate,
     pclr_estimate,
@@ -17,10 +20,11 @@ from liulogit import (
     point_estimate,
     select_components,
     spectral_decompose,
+    spectral_decompose_batch,
 )
-from liulogit.model import Dataset, irls_fit
+from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
-from _util import random_dataset, tight_fit
+from _util import correlated_design, random_dataset, tight_fit
 
 
 def synthetic_fit(beta, v_diag, z):
@@ -324,3 +328,79 @@ class TestSpecsAndDispatch:
         ]
         for spec, expected in cases:
             assert np.allclose(point_estimate(fit, dataset.X, spec), expected)
+
+
+def batched_instance(n, p, rho, rows, seed):
+    """A design, its converged batched fits and their decomposition."""
+    rng = np.random.default_rng(seed)
+    X = correlated_design(n, p, rho, rng)
+    pi = 1.0 / (1.0 + np.exp(-(X @ (rng.standard_normal(p) / np.sqrt(p)))))
+    fit = irls_fit_batch(X, (rng.random((rows, n)) < pi).astype(float))
+    assert fit.converged.all()
+    return X, fit, spectral_decompose_batch(X, fit.v_diag)
+
+
+def row_fit(fit: BatchFit, i):
+    return synthetic_fit(fit.beta[i], fit.v_diag[i], fit.z[i])
+
+
+class TestBatchedSpectralCore:
+    def test_decomposition_rows_match_scalar(self):
+        X, fit, decomp = batched_instance(120, 5, 0.95, 12, seed=40)
+        assert decomp.positive_definite.all()
+        for i in range(12):
+            single = spectral_decompose(X, fit.v_diag[i])
+            assert np.max(np.abs(decomp.lambdas[i] - single.lambdas)) <= 1e-12
+            assert np.max(np.abs(decomp.T[i] - single.T)) <= 1e-10
+
+    def test_indefinite_and_nonfinite_rows_flagged(self):
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((30, 3))
+        v = np.full((3, 30), 0.2)
+        v[1, :20] = -1.0  # indefinite X'VX
+        v[2, 0] = np.inf
+        decomp = spectral_decompose_batch(X, v)
+        assert decomp.positive_definite.tolist() == [True, False, False]
+        for row in (1, 2):
+            with pytest.raises(DecompositionError):
+                spectral_decompose(X, v[row])
+
+    def test_rank_one_design_flagged(self):
+        decomp = spectral_decompose_batch(np.ones((4, 2)), np.full((2, 4), 0.25))
+        assert not decomp.positive_definite.any()
+
+    def test_rules_take_batch_axis(self):
+        rng = np.random.default_rng(42)
+        lam = np.sort(rng.uniform(0.01, 5.0, size=(30, 5)), axis=1)[:, ::-1]
+        alpha = rng.standard_normal((30, 5)) * rng.uniform(0.0, 3.0, size=(30, 1))
+        alpha[0] = 0.0  # floored eigencoordinates
+        d = choose_d(lam)
+        ks = choose_k_batch(lam, alpha, d + np.where(np.arange(30) % 3 == 0, 0.9, 0.0))
+        r = select_components(lam, 0.6)
+        assert ks.clamped.any() and not ks.clamped.all()
+        for i in range(30):
+            assert d[i] == choose_d(lam[i])
+            d_i = d[i] + (0.9 if i % 3 == 0 else 0.0)
+            single = choose_k(lam[i], alpha[i], d_i)
+            assert ks.value[i] == pytest.approx(single.value, rel=1e-12)
+            assert ks.clamped[i] == single.clamped
+            assert r[i] == select_components(lam[i], 0.6)
+
+    def test_estimates_match_scalar_estimators(self):
+        X, fit, decomp = batched_instance(200, 6, 0.99, 10, seed=43)
+        r = np.arange(10) % 6 + 1
+        k = np.linspace(0.05, 3.0, 10)
+        d = np.linspace(-0.2, 0.4, 10)
+        estimates = batch_estimates(fit, X, decomp, r, k, d)
+        for i in range(10):
+            single = spectral_decompose(X, fit.v_diag[i])
+            split = single.split(int(r[i]))
+            params = ShrinkageParams(k=k[i], d=d[i])
+            expected = {
+                EstimatorKind.ML: fit.beta[i],
+                EstimatorKind.LTL: ltl_estimate(row_fit(fit, i), X, params),
+                EstimatorKind.PCLR: pclr_estimate(row_fit(fit, i), X, split),
+                EstimatorKind.PCLTL: pcltl_estimate(row_fit(fit, i), X, split, params),
+            }
+            for kind, want in expected.items():
+                assert np.max(np.abs(estimates[kind][i] - want)) <= 1e-10, kind

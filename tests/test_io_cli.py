@@ -17,7 +17,7 @@ from liulogit import (
     study_to_json,
     write_dataset,
 )
-from liulogit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
 class TestParseDataset:
@@ -54,6 +54,17 @@ class TestParseDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             parse_dataset(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize(
+        "row", ["0,0.2,nan", "0,inf,0.3", "1,0.2,-inf", "NaN,0.2,0.3", "inf,0.1,0.1"]
+    )
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"y,x1,x2\n1,0.5,0.1\n\n{row}\n1,0.3,0.4\n0,0.1,nan\n")
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(path, has_header=True)
+        assert err.value.line == 4
+        assert "line 4: non-finite cell" in str(err.value)
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -174,6 +185,13 @@ class TestFitCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == EXIT_DATA
 
+    def test_non_finite_cell_is_data_error(self, toy_csv, capsys):
+        lines = toy_csv.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",nan"
+        toy_csv.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(toy_csv)]) == EXIT_DATA
+        assert "line 5: non-finite cell" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["fit"])  # --input is required
@@ -209,6 +227,20 @@ class TestSimulateCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
+        assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
+    def test_failed_cell_reported(self, tmp_path):
+        # every replication of the rho = 0.6 cell diverges at n = 3
+        args = ["simulate", "--p", "2", "--n", "3", "--rho", "0.5,0.6",
+                "--reps", "4", "--seed", "3"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == EXIT_NUMERIC
+        assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_NUMERIC
+        payload = json.loads((out1 / "study.json").read_text())
+        assert len(payload["cells"]) == 1
+        (failure,) = payload["failures"]
+        assert (failure["n"], failure["p"], failure["rho"]) == (3, 2, 0.6)
+        assert "all 4 replications diverged" in failure["error"]
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
@@ -258,6 +290,21 @@ class TestCompareCommand:
         assert row["condition_holds"] is True
         assert row["beta_source"] == "true_beta"
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("pcltl:bogus", "'pcltl:bogus' names an unknown estimator"),
+            ("pcltl", "'pcltl' is not of the form challenger:incumbent"),
+            ("pcltl:ml,ltl:", "'ltl:' names an unknown estimator"),
+        ],
+    )
+    def test_bad_pair_rejected_before_reading_data(self, tmp_path, capsys, pair, message):
+        # the input file does not exist: a data error would mean the pair
+        # was checked only after parsing
+        code = main(["compare", "--input", str(tmp_path / "absent.csv"), "--pair", pair])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_tsv_format(self, toy_csv, capsys):
         code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml"])
         assert code == EXIT_OK
@@ -276,3 +323,18 @@ class TestConfigFile:
         assert report["k"] == pytest.approx(0.9)
         assert report["d"] == pytest.approx(0.3)  # explicit flag wins
         assert report["k_source"] == "user"
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--config", str(tmp_path / "absent.cfg")])
+        assert err.value.code == EXIT_USAGE
+        message = capsys.readouterr().err
+        assert "cannot read config file" in message and "absent.cfg" in message
+
+    def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\ninput data.csv\n")
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--config", str(cfg)])
+        assert err.value.code == EXIT_USAGE
+        assert "line 2: expected key = value" in capsys.readouterr().err

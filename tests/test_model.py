@@ -7,14 +7,16 @@ from liulogit import (
     Dataset,
     FitConfig,
     LogisticFit,
+    SingularSystemError,
     irls_fit,
+    irls_fit_batch,
     log_likelihood,
     predict_probabilities,
     weight_diagonal,
     working_response,
 )
 
-from _util import random_dataset, tight_fit
+from _util import correlated_design, random_dataset, tight_fit
 
 LN3 = math.log(3.0)
 
@@ -174,6 +176,114 @@ class TestIrlsFit:
         dataset, beta = random_dataset(5000, 3, rng, rho=0.2)
         fit = irls_fit(dataset)
         assert np.max(np.abs(fit.beta - beta)) < 0.2
+
+
+def assert_batch_matches_scalar(X, Y, config=FitConfig()):
+    """Row i of irls_fit_batch against irls_fit on response row i."""
+    batch = irls_fit_batch(X, Y, config)
+    for i, y in enumerate(Y):
+        try:
+            fit = irls_fit(Dataset(X, y), config)
+        except SingularSystemError as exc:
+            assert batch.singular[i], i
+            assert not batch.converged[i]
+            assert batch.iterations[i] == exc.iteration
+            continue
+        assert not batch.singular[i], i
+        assert batch.converged[i] == fit.converged, i
+        assert batch.iterations[i] == fit.iterations, i
+        assert np.max(np.abs(batch.beta[i] - fit.beta)) <= 1e-10
+        assert np.max(np.abs(batch.v_diag[i] - fit.v_diag)) <= 1e-10
+        np.testing.assert_allclose(batch.z[i], fit.z, rtol=1e-10, atol=1e-10)
+    return batch
+
+
+def bernoulli_rows(X, beta, rows, rng):
+    pi = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    return (rng.random((rows, X.shape[0])) < pi).astype(float)
+
+
+class TestIrlsFitBatch:
+    @pytest.mark.parametrize("n,p,rho", [(40, 2, 0.3), (200, 4, 0.9), (500, 8, 0.99)])
+    def test_rows_match_scalar_fits(self, n, p, rho):
+        rng = np.random.default_rng(n + p)
+        X = correlated_design(n, p, rho, rng)
+        Y = bernoulli_rows(X, rng.standard_normal(p) / np.sqrt(p), 25, rng)
+        batch = assert_batch_matches_scalar(X, Y)
+        assert batch.converged.all()
+
+    def test_small_samples_mix_converged_and_diverged_rows(self):
+        rng = np.random.default_rng(11)
+        X = correlated_design(12, 3, 0.9, rng)
+        Y = bernoulli_rows(X, np.array([2.0, -1.0, 1.0]), 60, rng)
+        batch = assert_batch_matches_scalar(X, Y)
+        assert 0 < batch.converged.sum() < len(Y)
+
+    def test_separated_and_rare_event_rows(self):
+        x = np.linspace(-2.0, 2.0, 30)
+        X = np.column_stack([np.ones(30), x])
+        separated = (x > 0).astype(float)
+        rare = np.zeros(30)
+        rare[7] = 1.0
+        balanced = np.tile([0.0, 1.0, 1.0], 10)
+        Y = np.vstack([separated, rare, balanced])
+        batch = assert_batch_matches_scalar(X, Y, FitConfig(max_iterations=30))
+        assert not batch.converged[0] and batch.converged[2]
+
+    def test_rank_deficient_design_every_row_singular(self):
+        rng = np.random.default_rng(12)
+        X = np.column_stack([rng.standard_normal(50), np.zeros(50), rng.standard_normal(50)])
+        Y = (rng.random((6, 50)) < 0.5).astype(float)
+        batch = assert_batch_matches_scalar(X, Y)
+        assert batch.singular.all()
+        assert not batch.converged.any()
+
+    def test_all_zero_response_among_normal_rows(self):
+        rng = np.random.default_rng(13)
+        X = correlated_design(60, 3, 0.5, rng)
+        Y = bernoulli_rows(X, np.array([0.5, -0.4, 0.3]), 5, rng)
+        Y[2] = 0.0
+        assert_batch_matches_scalar(X, Y)
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(14)
+        X = correlated_design(100, 3, 0.8, rng)
+        Y = bernoulli_rows(X, np.array([1.0, -1.0, 0.5]), 8, rng)
+        batch = assert_batch_matches_scalar(X, Y, FitConfig(max_iterations=2))
+        assert np.all(batch.iterations <= 2)
+        assert not batch.converged.all()
+
+    def test_step_halving_and_stalled_rows(self):
+        # a wide probability clip makes the IRLS step overshoot, so rows
+        # halve their steps and most give up after the last halving
+        rng = np.random.default_rng(16)
+        X = correlated_design(40, 3, 0.6, rng)
+        Y = bernoulli_rows(X, np.array([2.0, -1.5, 1.0]), 30, rng)
+        config = FitConfig(probability_clip=0.01)
+        batch = assert_batch_matches_scalar(X, Y, config)
+        stalled = ~batch.converged & (batch.iterations < config.max_iterations)
+        assert batch.converged.any() and stalled.any()
+
+    def test_select_takes_rows(self):
+        rng = np.random.default_rng(15)
+        X = correlated_design(40, 2, 0.3, rng)
+        batch = irls_fit_batch(X, bernoulli_rows(X, np.array([0.3, 0.2]), 4, rng))
+        picked = batch.select(np.array([3, 1]))
+        assert np.array_equal(picked.beta, batch.beta[[3, 1]])
+        assert np.array_equal(picked.z, batch.z[[3, 1]])
+        assert np.array_equal(picked.converged, batch.converged[[3, 1]])
+
+    def test_rejects_bad_input(self):
+        X = np.ones((4, 1))
+        with pytest.raises(ValueError):
+            irls_fit_batch(X, np.zeros(4))
+        with pytest.raises(ValueError):
+            irls_fit_batch(X, np.zeros((2, 5)))
+        with pytest.raises(ValueError):
+            irls_fit_batch(X, np.full((2, 4), 0.5))
+        X[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            irls_fit_batch(X, np.zeros((2, 4)))
 
 
 class TestValidation:

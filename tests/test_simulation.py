@@ -3,22 +3,140 @@ import pytest
 
 from liulogit import (
     DESIGN_COLUMN_NORM,
+    CellFailedError,
+    CellFailure,
+    CellResult,
+    Dataset,
+    DecompositionError,
     EstimatorKind,
+    ShrinkageParams,
     SimulationConfig,
+    SingularSystemError,
     StudyGrid,
     cell_design,
+    choose_d,
+    choose_k,
+    components_for_p,
     derive_cell_seed,
     generate_design,
     generate_response,
+    irls_fit,
+    ltl_estimate,
     newhouse_oman_beta,
+    pclr_estimate,
+    pcltl_estimate,
     ptv_for_p,
+    run_cells,
     run_study,
     scale_columns,
+    select_components,
     simulate_cell,
+    spectral_decompose,
     study_configs,
+)
+from liulogit.simulation import (
+    ESTIMATOR_ORDER,
+    REPLICATION_BLOCK,
+    _build_design,
+    _cell_rng,
 )
 
 SMALL_CELL = SimulationConfig(n=150, p=4, rho=0.9, replications=40, seed=2024)
+
+# partial-divergence fixtures: tiny n drops some replications, not all
+PARTIAL_RAW = SimulationConfig(
+    n=15, p=4, rho=0.9, replications=60, seed=7,
+    min_components=1, components=None, design_scaling="raw",
+)
+PARTIAL_FIXED = SimulationConfig(
+    n=15, p=4, rho=0.9, replications=60, seed=7,
+    min_components=1, components=None,
+)
+
+
+def reference_cell(config, keep_estimates=False):
+    """The per-replication cell loop: one scalar IRLS fit per replication.
+
+    Oracle for the block-batched ``simulate_cell``: same draws, same rules,
+    built from ``irls_fit``, ``spectral_decompose`` and the four scalar
+    estimators.
+    """
+    rng = _cell_rng(config)
+    X, beta = _build_design(config, rng)
+    sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
+    stored = {kind: [] for kind in ESTIMATOR_ORDER}
+    divergent = 0
+    r_total = k_total = d_total = 0.0
+    for _ in range(config.replications):
+        y = generate_response(X, beta, rng)
+        try:
+            fit = irls_fit(Dataset(X, y), config.fit)
+        except SingularSystemError:
+            divergent += 1
+            continue
+        if not fit.converged:
+            divergent += 1
+            continue
+        try:
+            decomp = spectral_decompose(X, fit.v_diag)
+        except DecompositionError:
+            divergent += 1
+            continue
+        if config.components is not None:
+            r = config.components
+        else:
+            r = min(
+                max(
+                    select_components(decomp.lambdas, config.ptv_threshold),
+                    config.min_components,
+                ),
+                config.p,
+            )
+        split = decomp.split(r)
+        d = choose_d(decomp.lambdas)
+        k, _ = choose_k(decomp.lambdas, decomp.T.T @ fit.beta, d)
+        params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
+        estimates = {
+            EstimatorKind.ML: fit.beta,
+            EstimatorKind.LTL: ltl_estimate(fit, X, params),
+            EstimatorKind.PCLR: pclr_estimate(fit, X, split),
+            EstimatorKind.PCLTL: pcltl_estimate(fit, X, split, params),
+        }
+        for kind, estimate in estimates.items():
+            sums[kind] += float(np.sum((estimate - beta) ** 2))
+            stored[kind].append(estimate)
+        r_total += r
+        k_total += k
+        d_total += d
+    converged = config.replications - divergent
+    return CellResult(
+        config=config,
+        mse={kind: sums[kind] / converged for kind in ESTIMATOR_ORDER},
+        divergent_replications=divergent,
+        mean_r=r_total / converged,
+        mean_k=k_total / converged,
+        mean_d=d_total / converged,
+        estimates=(
+            {kind: np.asarray(stored[kind]) for kind in ESTIMATOR_ORDER}
+            if keep_estimates
+            else None
+        ),
+    )
+
+
+def assert_matches_reference(config):
+    batched = simulate_cell(config, keep_estimates=True)
+    reference = reference_cell(config, keep_estimates=True)
+    assert batched.divergent_replications == reference.divergent_replications
+    assert batched.mean_r == reference.mean_r
+    for kind in ESTIMATOR_ORDER:
+        assert batched.mse[kind] == pytest.approx(reference.mse[kind], rel=1e-8, abs=0)
+        got, want = batched.estimates[kind], reference.estimates[kind]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10, kind
+    assert batched.mean_k == pytest.approx(reference.mean_k, rel=1e-8, abs=0)
+    assert batched.mean_d == pytest.approx(reference.mean_d, rel=1e-8, abs=0)
+    return batched
 
 
 class TestGenerateDesign:
@@ -175,6 +293,33 @@ class TestSimulateCell:
         )
 
 
+class TestBatchedCellOracle:
+    def test_small_cell(self):
+        assert_matches_reference(SMALL_CELL)
+
+    @pytest.mark.parametrize("p", [4, 6, 8, 12])
+    def test_one_cell_per_p(self, p):
+        config = SimulationConfig(
+            n=200, p=p, rho=0.99, replications=30, seed=100 + p,
+            ptv_threshold=ptv_for_p(p), components=components_for_p(p),
+        )
+        assert_matches_reference(config)
+
+    def test_more_replications_than_one_block(self):
+        config = SimulationConfig(n=120, p=4, rho=0.9, replications=150, seed=3)
+        assert config.replications > 2 * REPLICATION_BLOCK
+        assert_matches_reference(config)
+
+    def test_partial_divergence_raw_scaling(self):
+        # raw mode also runs the per-replication component rule
+        result = assert_matches_reference(PARTIAL_RAW)
+        assert result.divergent_replications == 13
+
+    def test_partial_divergence_fixed_norm(self):
+        result = assert_matches_reference(PARTIAL_FIXED)
+        assert result.divergent_replications == 12
+
+
 class TestStudyGrid:
     def test_default_grid_size(self):
         assert len(StudyGrid()) == 48
@@ -218,6 +363,33 @@ class TestRunStudy:
         second = run_study(self.GRID, self.BASE)
         for a, b in zip(first, second):
             assert a.mse == b.mse
+
+
+class TestRunCells:
+    # every replication of the second cell diverges at n = 3
+    GRID = StudyGrid(p_values=(2,), n_values=(3,), rho_values=(0.5, 0.6))
+    BASE = SimulationConfig(n=3, p=2, rho=0.5, replications=4, seed=3)
+
+    def test_failure_reported_in_place(self):
+        configs = study_configs(self.GRID, self.BASE)
+        serial = run_cells(configs)
+        parallel = run_cells(configs, workers=2)
+        for outcomes in (serial, parallel):
+            assert isinstance(outcomes[0], CellResult)
+            assert isinstance(outcomes[1], CellFailure)
+            assert outcomes[1].config == configs[1]
+            assert "all 4 replications diverged" in outcomes[1].error
+        assert serial[0].mse == parallel[0].mse
+        assert serial[1] == parallel[1]
+        assert serial[1].to_dict() == {
+            "n": 3, "p": 2, "rho": 0.6, "error": serial[1].error,
+        }
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_run_study_raises_with_coordinates(self, workers):
+        with pytest.raises(CellFailedError) as err:
+            run_study(self.GRID, self.BASE, workers=workers)
+        assert (err.value.n, err.value.p, err.value.rho) == (3, 2, 0.6)
 
 
 class TestConfigValidation:
