@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,7 @@ from .estimators import (
     ShrinkageParams,
     choose_d,
     choose_k,
-    ltl_estimate,
-    mle_estimate,
-    pclr_estimate,
-    pcltl_estimate,
+    point_estimate,
     select_components,
     spectral_decompose,
 )
@@ -81,7 +79,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -124,7 +122,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit("--config needs a file name")
     config_tokens = _load_config_args(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
     # config tokens go first so explicit flags override them
@@ -220,31 +218,17 @@ def _fit_pipeline(args):
 
 
 def _run_fit(args) -> int:
+    kinds = _parse_estimators(args.estimators)
     dataset, fit, decomp, r, params, clamped = _fit_pipeline(args)
-    requested = [part.strip() for part in args.estimators.split(",") if part.strip()]
-    split = decomp.split(r)
-    coefficients = {}
-    estimator_errors = {}
-    for name in requested:
-        try:
-            kind = EstimatorKind(name)
-            if kind is EstimatorKind.ML:
-                estimate = mle_estimate(fit, dataset.X)
-            elif kind is EstimatorKind.LTL:
-                estimate = ltl_estimate(fit, dataset.X, params)
-            elif kind is EstimatorKind.PCLR:
-                estimate = pclr_estimate(fit, dataset.X, split)
-            else:
-                estimate = pcltl_estimate(fit, dataset.X, split, params)
-            coefficients[name] = [float(v) for v in estimate]
-        except ValueError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - per-estimator isolation
-            estimator_errors[name] = str(exc)
+    coefficients = {
+        kind.value: point_estimate(
+            fit, dataset.X, _spec_for(kind, params, r), decomp
+        ).tolist()
+        for kind in kinds
+    }
     lambdas = decomp.lambdas
     report = {
         "coefficients": coefficients,
-        "estimator_errors": estimator_errors,
         "r": r,
         "r_source": "user" if args.r is not None else "rule",
         "k": params.k,
@@ -268,8 +252,6 @@ def _fit_report_rows(report):
     for name, values in report["coefficients"].items():
         for i, value in enumerate(values):
             rows.append((name, str(i), repr(value)))
-    for name, message in report["estimator_errors"].items():
-        rows.append((name, "error", message))
     return rows
 
 
@@ -290,6 +272,14 @@ def _run_simulate(args) -> int:
         min_components=args.min_components,
         components=args.components,
     )
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot create --out directory {out_dir}: {exc.strerror}"
+            ) from None
     outcomes = run_cells(study_configs(grid, base), args.workers)
     results = [outcome for outcome in outcomes if isinstance(outcome, CellResult)]
     failures = [
@@ -305,15 +295,13 @@ def _run_simulate(args) -> int:
         )
     json_text = study_to_json(results, master_seed=seed, version=__version__, failures=failures)
 
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         for table in tables:
-            (out_dir / f"table_p{table.p}.txt").write_text(render_table_text(table))
-            (out_dir / f"table_p{table.p}.tsv").write_text(
-                render_table_delimited(table)
+            _write_output(out_dir / f"table_p{table.p}.txt", render_table_text(table))
+            _write_output(
+                out_dir / f"table_p{table.p}.tsv", render_table_delimited(table)
             )
-        (out_dir / "study.json").write_text(json_text)
+        _write_output(out_dir / "study.json", json_text)
         sys.stdout.write(f"wrote {len(tables)} tables and study.json to {out_dir}\n")
     else:
         sys.stdout.write(text)
@@ -328,9 +316,28 @@ _PAIR_THEOREMS = {
 }
 
 
+def _estimator_kind(option: str, token: str, name: str) -> EstimatorKind:
+    """The estimator ``name`` read from one token of ``option``."""
+    try:
+        return EstimatorKind(name)
+    except ValueError:
+        choices = ", ".join(kind.value for kind in EstimatorKind)
+        raise ValueError(
+            f"{option} token {token!r} names an unknown estimator "
+            f"(choose from {choices})"
+        ) from None
+
+
+def _parse_estimators(text: str) -> list[EstimatorKind]:
+    """Split the --estimators comma list into estimator kinds."""
+    tokens = [part.strip() for part in text.split(",") if part.strip()]
+    if not tokens:
+        raise ValueError("--estimators names no estimator")
+    return [_estimator_kind("--estimators", token, token) for token in tokens]
+
+
 def _parse_pairs(text: str) -> list[tuple[EstimatorKind, EstimatorKind]]:
     """Split 'challenger:incumbent,...' into estimator pairs, naming bad tokens."""
-    names = ", ".join(kind.value for kind in EstimatorKind)
     pairs = []
     for token in text.split(","):
         left, colon, right = token.strip().partition(":")
@@ -338,31 +345,49 @@ def _parse_pairs(text: str) -> list[tuple[EstimatorKind, EstimatorKind]]:
             raise ValueError(
                 f"--pair token {token!r} is not of the form challenger:incumbent"
             )
-        try:
-            pairs.append((EstimatorKind(left), EstimatorKind(right)))
-        except ValueError:
-            raise ValueError(
-                f"--pair token {token!r} names an unknown estimator "
-                f"(choose from {names})"
-            ) from None
+        pairs.append(
+            (
+                _estimator_kind("--pair", token, left),
+                _estimator_kind("--pair", token, right),
+            )
+        )
     return pairs
+
+
+def _read_beta_file(path: str) -> np.ndarray:
+    """Coefficients from a whitespace-separated text file."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns; the length check below reports it
+            warnings.simplefilter("ignore", UserWarning)
+            beta = np.loadtxt(path, ndmin=1)
+    except OSError as exc:
+        raise DatasetFormatError(
+            f"cannot read beta file {path}: {exc.strerror or 'not found'}"
+        ) from None
+    except ValueError as exc:
+        raise DatasetFormatError(f"beta file {path} is not numeric: {exc}") from None
+    if not np.all(np.isfinite(beta)):
+        raise DatasetFormatError(f"beta file {path} holds non-finite values")
+    return beta
 
 
 def _run_compare(args) -> int:
     comparisons = _parse_pairs(args.pair)
+    beta = None
+    if args.beta_source == "file":
+        if not args.beta_file:
+            raise ValueError("--beta-source file needs --beta-file")
+        beta = _read_beta_file(args.beta_file)
     dataset, fit, decomp, r, params, _ = _fit_pipeline(args)
     split = decomp.split(r)
-    if args.beta_source == "plugin":
-        beta = fit.beta
-        beta_source = "plug_in_mle"
+    if beta is None:
+        beta, beta_source = fit.beta, "plug_in_mle"
+    elif beta.shape != (dataset.p,):
+        raise DatasetFormatError(
+            f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
+        )
     else:
-        if not args.beta_file:
-            raise SystemExit(EXIT_USAGE)
-        beta = np.loadtxt(args.beta_file, ndmin=1)
-        if beta.shape != (dataset.p,):
-            raise DatasetFormatError(
-                f"beta file must hold {dataset.p} values, got {beta.shape[0]}"
-            )
         beta_source = "true_beta"
 
     rows = []
@@ -440,9 +465,17 @@ def _emit(report, args, row_builder):
         rows = row_builder(report)
         text = "\n".join(delimiter.join(row) for row in rows) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_output(path, text: str):
+    """Write one output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,24 @@
 """Shrinkage and principal-component estimators for the logistic model.
 
-All estimators are one-shot plug-ins evaluated at the weights ``V`` and
-working response ``z`` of a converged maximum-likelihood fit:
+All four estimators are one spectral filter of the maximum-likelihood
+coefficients b_ml, the IRLS fixed point ``fit.beta``.  With the weights V
+of the converged fit and X'VX = T diag(lambda) T' (``T`` orthonormal,
+``lambda`` descending),
 
-    ML     (X'VX)^{-1} X'Vz
-    LTL    (X'VX + kI)^{-1} (X'Vz - d*b_ml)                    k > 0
-    PCLR   T_r (T_r'X'VX T_r)^{-1} T_r'X'Vz  =  T_r T_r' b_ml
-    PCLTL  T_r (L_r + kI)^{-1} (L_r - dI) L_r^{-1} T_r'X'Vz
+    estimate = T diag(g) T' b_ml
 
-with ``T`` the orthonormal eigenvectors of X'VX and ``L = diag(lambda)``
-its descending eigenvalues.  PCLTL contains the other three as the special
-cases r = p, k -> 0 / d = 0, and both at once.
+where ``filter_factors`` gives g on the r leading axes and the p - r
+dropped ones:
+
+    estimator   retained axes          dropped axes
+    ML          1                      (r = p)
+    LTL         (lambda-d)/(lambda+k)  (r = p)
+    PCLR        1                      0
+    PCLTL       (lambda-d)/(lambda+k)  0
+
+with biasing parameters k > 0 and d.  PCLTL contains the other three as
+the special cases r = p, k -> 0 with d = 0, and both at once.  The
+asymptotic error matrices in ``msem`` are built from the same factors.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, SingularSystemError
+from .errors import DecompositionError
 from .model import BatchFit, LogisticFit, stacked_gram
 
 __all__ = [
@@ -42,6 +50,7 @@ __all__ = [
     "choose_d",
     "choose_k",
     "choose_k_batch",
+    "filter_factors",
     "point_estimate",
     "batch_estimates",
 ]
@@ -177,6 +186,11 @@ class EstimatorSpec:
         if self.r is not None and self.r < 1:
             raise ValueError("r must be at least 1")
 
+    def factors(self, lambdas) -> np.ndarray:
+        """``filter_factors`` of this estimator at its own r, k and d."""
+        k, d = (self.params.k, self.params.d) if self.params else (None, None)
+        return filter_factors(self.kind, lambdas, self.r, k, d)
+
 
 class KSelection(NamedTuple):
     value: float
@@ -261,75 +275,75 @@ def select_components(lambdas, ptv_threshold: float):
     return int(r) if r.ndim == 0 else r
 
 
-def _weighted_products(fit: LogisticFit, X) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    gram = (X * fit.v_diag[:, None]).T @ X
-    rhs = X.T @ (fit.v_diag * fit.z)
-    return gram, rhs
+def filter_factors(kind: EstimatorKind, lambdas, r=None, k=None, d=None) -> np.ndarray:
+    """Filter factors g of one estimator: its estimate is T diag(g) T' b_ml.
+
+    ``lambdas`` (..., p) are the descending eigenvalues of X'VX.  ``r``,
+    ``k`` and ``d`` are scalars or arrays of the leading batch shape; only
+    those the estimator uses are read (see the module docstring).
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    g = np.ones_like(lam)
+    if kind in (EstimatorKind.LTL, EstimatorKind.PCLTL):
+        k = np.asarray(k, dtype=float)[..., None]
+        d = np.asarray(d, dtype=float)[..., None]
+        g = (lam - d) / (lam + k)
+    if kind in (EstimatorKind.PCLR, EstimatorKind.PCLTL):
+        p = lam.shape[-1]
+        r = np.asarray(r)
+        if np.any((r < 1) | (r > p)):
+            raise ValueError(f"r must lie in [1, {p}], got {r}")
+        g = np.where(np.arange(p) < r[..., None], g, 0.0)
+    return g
 
 
-def _require_converged(fit: LogisticFit):
+def _apply_filter(T, g, b) -> np.ndarray:
+    """T diag(g) T' b over any leading batch axes."""
+    coords = g * (T.swapaxes(-1, -2) @ b[..., None])[..., 0]
+    return (T @ coords[..., None])[..., 0]
+
+
+def point_estimate(
+    fit: LogisticFit,
+    X,
+    spec: EstimatorSpec,
+    decomp: SpectralDecomposition | None = None,
+) -> np.ndarray:
+    """The estimate T diag(g) T' b_ml of ``spec`` for one converged fit.
+
+    ``decomp`` is the eigendecomposition of X'VX at ``fit.v_diag``; when it
+    is not given it is computed from ``X``, so callers that evaluate
+    several estimators on one fit pass it to decompose once.
+    """
     if not fit.converged:
         raise ValueError("estimator requires a converged fit")
+    if decomp is None:
+        decomp = spectral_decompose(X, fit.v_diag)
+    return _apply_filter(decomp.T, spec.factors(decomp.lambdas), fit.beta)
 
 
 def mle_estimate(fit: LogisticFit, X) -> np.ndarray:
-    """Closed-form ML coefficients (X'VX)^{-1} X'Vz at the fit's V and z."""
-    _require_converged(fit)
-    gram, rhs = _weighted_products(fit, X)
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("X'VX singular in ML closed form") from exc
+    """ML coefficients: the filter with g = 1 applied to ``fit.beta``."""
+    return point_estimate(fit, X, EstimatorSpec(EstimatorKind.ML))
 
 
 def ltl_estimate(fit: LogisticFit, X, params: ShrinkageParams) -> np.ndarray:
-    """Liu-type coefficients (X'VX + kI)^{-1} (X'Vz - d*b_ml)."""
-    _require_converged(fit)
-    gram, rhs = _weighted_products(fit, X)
-    shifted = gram + params.k * np.eye(gram.shape[0])
-    return np.linalg.solve(shifted, rhs - params.d * fit.beta)
+    """Liu-type coefficients (X'VX + kI)^{-1} (X'VX - dI) b_ml."""
+    return point_estimate(fit, X, EstimatorSpec(EstimatorKind.LTL, params=params))
 
 
 def pclr_estimate(fit: LogisticFit, X, split: ComponentSplit) -> np.ndarray:
-    """Principal-component coefficients T_r (T_r'X'VX T_r)^{-1} T_r'X'Vz.
-
-    The r-by-r inner matrix is diagonal in the eigenbasis, so the solve
-    reduces to an eigenvalue division.
-    """
-    _require_converged(fit)
-    _, rhs = _weighted_products(fit, X)
-    coords = (split.t_r.T @ rhs) / split.lambdas_r
-    return split.t_r @ coords
+    """Principal-component coefficients T_r T_r' b_ml."""
+    spec = EstimatorSpec(EstimatorKind.PCLR, r=split.r)
+    return point_estimate(fit, X, spec, split.decomposition)
 
 
 def pcltl_estimate(
-    fit: LogisticFit,
-    X,
-    split: ComponentSplit,
-    params: ShrinkageParams,
-    method: str = "eigen",
+    fit: LogisticFit, X, split: ComponentSplit, params: ShrinkageParams
 ) -> np.ndarray:
-    """Liu-type shrinkage applied inside the retained component subspace.
-
-    ``method="eigen"`` divides by the diagonal reduced system directly;
-    ``method="matrix"`` evaluates the defining dense-matrix expression.
-    Both paths agree to floating-point roundoff.
-    """
-    _require_converged(fit)
-    gram, rhs = _weighted_products(fit, X)
-    t_r = split.t_r
-    if method == "eigen":
-        lam = split.lambdas_r
-        coords = (lam - params.d) / ((lam + params.k) * lam) * (t_r.T @ rhs)
-        return t_r @ coords
-    if method == "matrix":
-        reduced = t_r.T @ gram @ t_r
-        eye = np.eye(split.r)
-        inner = np.linalg.solve(reduced, t_r.T @ rhs)
-        inner = (reduced - params.d * eye) @ inner
-        return t_r @ np.linalg.solve(reduced + params.k * eye, inner)
-    raise ValueError(f"unknown method {method!r}")
+    """Retained-subspace Liu-type coefficients T_r (L_r+kI)^{-1} (L_r-dI) T_r' b_ml."""
+    spec = EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r)
+    return point_estimate(fit, X, spec, split.decomposition)
 
 
 def choose_d(lambdas):
@@ -374,54 +388,18 @@ def choose_k_batch(lambdas, alpha_hat, d, floor: float = ALPHA_FLOOR) -> KSelect
     return KSelection(np.where(clamped, K_MIN, k), clamped)
 
 
-def point_estimate(fit: LogisticFit, X, spec: EstimatorSpec) -> np.ndarray:
-    """Dispatch a single EstimatorSpec to the matching estimator."""
-    if spec.kind is EstimatorKind.ML:
-        return mle_estimate(fit, X)
-    if spec.kind is EstimatorKind.LTL:
-        return ltl_estimate(fit, X, spec.params)
-    decomp = spectral_decompose(X, fit.v_diag)
-    split = decomp.split(spec.r)
-    if spec.kind is EstimatorKind.PCLR:
-        return pclr_estimate(fit, X, split)
-    if spec.kind is EstimatorKind.PCLTL:
-        return pcltl_estimate(fit, X, split, spec.params)
-    raise ValueError(f"unknown estimator kind {spec.kind!r}")
-
-
 def batch_estimates(
     fit: BatchFit, X, decomp: BatchDecomposition, r, k, d
 ) -> dict:
     """The four estimators for a stack of converged fits, row by row.
 
-    Row i matches ML = ``fit.beta``, ``ltl_estimate``, ``pclr_estimate`` and
-    ``pcltl_estimate`` for that row's fit, eigendecomposition, component
-    count ``r[i]`` and parameters ``k[i]``, ``d[i]``, to roundoff.  Each is
-    a filter on the eigen-coordinates c = T'X'Vz, using
-    (X'VX + kI)^{-1} = T diag(1/(lambda+k)) T':
-
-        LTL    T diag(1/(lambda+k)) (c - d T'b_ml)
-        PCLR   T diag(1/lambda on the r leading axes, 0 after) c
-        PCLTL  T diag((lambda-d)/((lambda+k) lambda) on the r leading axes) c
+    Row i is ``point_estimate`` for that row's fit and eigendecomposition,
+    component count ``r[i]`` and parameters ``k[i]``, ``d[i]``.  ``X`` is
+    not read: ``decomp`` already carries every X'VX.
     """
-    X = np.asarray(X, dtype=float)
-    T, lam = decomp.T, decomp.lambdas
-    Tt = T.swapaxes(-1, -2)
-    rhs = np.matmul(X.T, (fit.v_diag * fit.z)[..., None])
-    coords = (Tt @ rhs)[..., 0]
-    alpha = (Tt @ fit.beta[..., None])[..., 0]
-    k = np.asarray(k, dtype=float)[:, None]
-    d = np.asarray(d, dtype=float)[:, None]
-    retained = np.arange(lam.shape[-1]) < np.asarray(r)[:, None]
-
-    def back(filtered):
-        return (T @ filtered[..., None])[..., 0]
-
     return {
-        EstimatorKind.ML: fit.beta,
-        EstimatorKind.LTL: back((coords - d * alpha) / (lam + k)),
-        EstimatorKind.PCLR: back(np.where(retained, coords / lam, 0.0)),
-        EstimatorKind.PCLTL: back(
-            np.where(retained, (lam - d) / ((lam + k) * lam) * coords, 0.0)
-        ),
+        kind: _apply_filter(
+            decomp.T, filter_factors(kind, decomp.lambdas, r, k, d), fit.beta
+        )
+        for kind in EstimatorKind
     }

@@ -1,12 +1,15 @@
 """Asymptotic bias, covariance and mean-squared-error-matrix analysis.
 
-For each estimator the asymptotic error matrix is ``MSEM = Cov + bias bias'``
-and its trace is the scalar MSE.  Estimator A beats estimator B under the
-matrix criterion when ``MSEM(B) - MSEM(A)`` is nonnegative definite; the
-closed-form dominance conditions below are always cross-checked against a
-direct eigenvalue test of that difference, because the two printed scalar
-conditions and the underlying matrix algebra are known to disagree on some
-inputs (see ``theorem_3_1_condition``).
+An estimator T diag(g) T' b_ml with filter factors g
+(``estimators.filter_factors``) has asymptotic covariance
+``T diag(g^2/lambda) T'``, bias ``T diag(g - 1) T' beta`` and error
+matrix ``MSEM = Cov + bias bias'``, whose trace is the scalar MSE.
+Estimator A beats estimator B under the matrix criterion when
+``MSEM(B) - MSEM(A)`` is nonnegative definite; the closed-form dominance
+conditions below are always cross-checked against a direct eigenvalue
+test of that difference, because the two printed scalar conditions and
+the underlying matrix algebra are known to disagree on some inputs (see
+``theorem_3_1_condition``).
 """
 
 from __future__ import annotations
@@ -77,62 +80,21 @@ class DominanceVerdict:
     precondition_ok: bool = True
 
 
+def _pcltl_spec(split: ComponentSplit, params: ShrinkageParams) -> EstimatorSpec:
+    return EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r)
+
+
 def pcltl_bias(beta, split: ComponentSplit, params: ShrinkageParams) -> np.ndarray:
     """Asymptotic bias (-T_tail T_tail' - (d+k) T_r (L_r+kI)^{-1} T_r') beta."""
-    beta = np.asarray(beta, dtype=float)
-    T = split.decomposition.T
-    alpha = T.T @ beta
-    scale = np.ones(split.p)
-    scale[: split.r] = (params.d + params.k) / (split.lambdas_r + params.k)
-    return T @ (-scale * alpha)
+    return asymptotic_msem(_pcltl_spec(split, params), split.decomposition, beta).bias
 
 
 def pcltl_covariance(split: ComponentSplit, params: ShrinkageParams) -> np.ndarray:
     """Asymptotic covariance, diagonal (l-d)^2 / (l (l+k)^2) on retained axes."""
-    lam = split.lambdas_r
-    diag = (lam - params.d) ** 2 / (lam * (lam + params.k) ** 2)
-    return (split.t_r * diag) @ split.t_r.T
-
-
-def _ml_report(spec, decomp, beta, beta_source):
-    cov = (decomp.T / decomp.lambdas) @ decomp.T.T
-    bias = np.zeros(decomp.p)
-    return _assemble(spec, bias, cov, beta_source)
-
-
-def _ltl_report(spec, decomp, beta, beta_source):
-    lam = decomp.lambdas
-    k, d = spec.params.k, spec.params.d
-    cov_diag = (lam - d) ** 2 / (lam * (lam + k) ** 2)
-    cov = (decomp.T * cov_diag) @ decomp.T.T
-    bias = -(k + d) * ((decomp.T / (lam + k)) @ (decomp.T.T @ beta))
-    return _assemble(spec, bias, cov, beta_source)
-
-
-def _pclr_report(spec, decomp, beta, beta_source):
-    split = decomp.split(spec.r)
-    cov = (split.t_r / split.lambdas_r) @ split.t_r.T
-    bias = -(split.t_tail @ (split.t_tail.T @ beta))
-    return _assemble(spec, bias, cov, beta_source)
-
-
-def _pcltl_report(spec, decomp, beta, beta_source):
-    split = decomp.split(spec.r)
-    cov = pcltl_covariance(split, spec.params)
-    bias = pcltl_bias(beta, split, spec.params)
-    return _assemble(spec, bias, cov, beta_source)
-
-
-def _assemble(spec, bias, cov, beta_source):
-    msem = cov + np.outer(bias, bias)
-    return MsemReport(
-        estimator=spec,
-        bias=bias,
-        covariance=cov,
-        msem=msem,
-        smse=float(np.trace(msem)),
-        beta_source=beta_source,
+    report = asymptotic_msem(
+        _pcltl_spec(split, params), split.decomposition, np.zeros(split.p)
     )
+    return report.covariance
 
 
 def asymptotic_msem(
@@ -150,17 +112,19 @@ def asymptotic_msem(
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (decomp.p,):
         raise ValueError("beta length must match the decomposition dimension")
-    dispatch = {
-        EstimatorKind.ML: _ml_report,
-        EstimatorKind.LTL: _ltl_report,
-        EstimatorKind.PCLR: _pclr_report,
-        EstimatorKind.PCLTL: _pcltl_report,
-    }
-    try:
-        builder = dispatch[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown estimator kind {spec.kind!r}") from None
-    return builder(spec, decomp, beta, beta_source)
+    T, lam = decomp.T, decomp.lambdas
+    g = spec.factors(lam)
+    cov = (T * (g**2 / lam)) @ T.T
+    bias = T @ ((g - 1.0) * (T.T @ beta))
+    msem = cov + np.outer(bias, bias)
+    return MsemReport(
+        estimator=spec,
+        bias=bias,
+        covariance=cov,
+        msem=msem,
+        smse=float(np.trace(msem)),
+        beta_source=beta_source,
+    )
 
 
 def smse(report: MsemReport) -> float:
@@ -257,9 +221,7 @@ def theorem_3_1_condition(
     holds = bool(value <= 1.0)
 
     ml = asymptotic_msem(EstimatorSpec(EstimatorKind.ML), decomp, beta)
-    pcltl = asymptotic_msem(
-        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
-    )
+    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
     return DominanceVerdict(
         theorem="T3_1",
         condition_value=value,
@@ -284,9 +246,7 @@ def theorem_3_2_condition(
     holds = bool(value <= ZERO_TOL)
     decomp = split.decomposition
     pclr = asymptotic_msem(EstimatorSpec(EstimatorKind.PCLR, r=split.r), decomp, beta)
-    pcltl = asymptotic_msem(
-        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
-    )
+    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
     return DominanceVerdict(
         theorem="T3_2",
         condition_value=value,
@@ -307,9 +267,7 @@ def theorem_3_3_condition(
     holds = bool(value <= ZERO_TOL)
     decomp = split.decomposition
     ltl = asymptotic_msem(EstimatorSpec(EstimatorKind.LTL, params=params), decomp, beta)
-    pcltl = asymptotic_msem(
-        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
-    )
+    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
     return DominanceVerdict(
         theorem="T3_3",
         condition_value=value,

@@ -251,14 +251,22 @@ class TestPcltlEstimate:
             assert np.max(np.abs(pcltl - mapped)) < 1e-10
 
     def test_eigen_and_matrix_paths_agree(self):
+        # oracle: the defining dense-matrix expression
+        # T_r (R + kI)^{-1} (R - dI) R^{-1} T_r'X'Vz with R = T_r'X'VX T_r
         rng = np.random.default_rng(26)
         for p in (2, 4, 8):
             dataset, fit, decomp = spd_instance(p, rng, n=80)
             r = max(1, p - 1)
             split = decomp.split(r)
             params = ShrinkageParams(k=0.5, d=0.1)
-            eigen = pcltl_estimate(fit, dataset.X, split, params, method="eigen")
-            matrix = pcltl_estimate(fit, dataset.X, split, params, method="matrix")
+            eigen = pcltl_estimate(fit, dataset.X, split, params)
+            X, t_r = dataset.X, split.t_r
+            gram = (X * fit.v_diag[:, None]).T @ X
+            rhs = X.T @ (fit.v_diag * fit.z)
+            reduced = t_r.T @ gram @ t_r
+            eye = np.eye(r)
+            inner = (reduced - params.d * eye) @ np.linalg.solve(reduced, t_r.T @ rhs)
+            matrix = t_r @ np.linalg.solve(reduced + params.k * eye, inner)
             assert np.max(np.abs(eigen - matrix)) < 1e-10
 
 

@@ -204,6 +204,34 @@ class TestFitCommand:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["converged"]
 
+    @pytest.mark.parametrize(
+        "estimators, message",
+        [
+            ("ml,foo", "--estimators token 'foo' names an unknown estimator "
+                       "(choose from ml, ltl, pclr, pcltl)"),
+            ("", "--estimators names no estimator"),
+            (" , ", "--estimators names no estimator"),
+        ],
+    )
+    def test_bad_estimators_rejected_before_reading_data(
+        self, tmp_path, capsys, estimators, message
+    ):
+        # the input file does not exist: a data error would mean the list
+        # was checked only after parsing
+        code = main(["fit", "--input", str(tmp_path / "absent.csv"),
+                     "--estimators", estimators])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_output_into_missing_directory(self, toy_csv, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.txt"
+        code = main([command, "--input", str(toy_csv), "--output", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: No such file or directory" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSimulateCommand:
     def test_single_cell_layout(self, tmp_path):
@@ -242,6 +270,24 @@ class TestSimulateCommand:
         assert (failure["n"], failure["p"], failure["rho"]) == (3, 2, 0.6)
         assert "all 4 replications diverged" in failure["error"]
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        # the 2000-replication default grid would take minutes: the
+        # directory must be checked before any cell runs
+        code = main(["simulate", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"cannot create --out directory {out}: File exists" in (
+            capsys.readouterr().err
+        )
+
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("LIULOGIT_SEED", "12x")
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--p", "3", "--n", "80", "--rho", "0.8", "--reps", "5"])
+        assert err.value.code == EXIT_USAGE
+        assert "LIULOGIT_SEED must be an integer, got '12x'" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIULOGIT_SEED", "314")
@@ -305,6 +351,34 @@ class TestCompareCommand:
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    def test_beta_file_required_before_reading_data(self, tmp_path, capsys):
+        code = main(["compare", "--input", str(tmp_path / "absent.csv"),
+                     "--beta-source", "file"])
+        assert code == EXIT_USAGE
+        assert "--beta-source file needs --beta-file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read beta file {path}: not found"),
+            ("0.1\nabc\n0.3\n", "beta file {path} is not numeric"),
+            ("0.1\nnan\n0.3\n", "beta file {path} holds non-finite values"),
+            ("0.1\n0.2\n", "beta file {path} must hold 3 values, got 2"),
+            ("", "beta file {path} must hold 3 values, got 0"),
+        ],
+    )
+    def test_bad_beta_file_is_data_error(self, toy_csv, tmp_path, capsys,
+                                         content, message):
+        path = tmp_path / "beta.txt"
+        if content is not None:
+            path.write_text(content)
+        code = main(["compare", "--input", str(toy_csv), "--beta-source", "file",
+                     "--beta-file", str(path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message.format(path=path) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_tsv_format(self, toy_csv, capsys):
         code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml"])
         assert code == EXIT_OK
@@ -330,6 +404,12 @@ class TestConfigFile:
         assert err.value.code == EXIT_USAGE
         message = capsys.readouterr().err
         assert "cannot read config file" in message and "absent.cfg" in message
+
+    def test_trailing_config_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--config"])
+        assert err.value.code == EXIT_USAGE
+        assert "--config needs a file name" in capsys.readouterr().err
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
