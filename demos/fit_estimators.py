@@ -9,17 +9,18 @@ import numpy as np
 
 from liulogit import (
     Dataset,
+    EstimatorKind,
+    EstimatorSpec,
     ShrinkageParams,
     choose_d,
     choose_k,
     generate_design,
     generate_response,
     irls_fit,
-    ltl_estimate,
-    mle_estimate,
     newhouse_oman_beta,
     pclr_estimate,
     pcltl_estimate,
+    point_estimate,
     select_components,
     spectral_decompose,
 )
@@ -50,10 +51,11 @@ k, clamped = choose_k(decomp.lambdas, decomp.T.T @ fit.beta, d)
 params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
 print(f"\nselected r={r}, d={d:.4f}, k={k:.4f}" + (" (clamped)" if clamped else ""))
 
+# every estimator reuses decomp, so X'VX is decomposed once
 split = decomp.split(r)
 estimates = {
-    "ML": mle_estimate(fit, X),
-    "LTL": ltl_estimate(fit, X, params),
+    "ML": point_estimate(fit, X, EstimatorSpec(EstimatorKind.ML), decomp),
+    "LTL": point_estimate(fit, X, EstimatorSpec(EstimatorKind.LTL, params=params), decomp),
     "PCLR": pclr_estimate(fit, X, split),
     "PCLTL": pcltl_estimate(fit, X, split, params),
 }

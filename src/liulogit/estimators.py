@@ -200,9 +200,10 @@ class KSelection(NamedTuple):
 class BatchDecomposition(NamedTuple):
     """Descending, sign-fixed eigenpairs of a stack of X'VX matrices.
 
-    ``T`` is (b, p, p) and ``lambdas`` (b, p), row for row what
-    ``spectral_decompose`` returns; ``positive_definite`` is False for the
-    rows where ``spectral_decompose`` raises ``DecompositionError``.
+    ``T`` is (b, p, p) and ``lambdas`` (b, p); row 0 of a one-row stack is
+    what ``spectral_decompose`` returns.  ``positive_definite`` is False
+    for the rows where ``spectral_decompose`` raises
+    ``DecompositionError``; the eigenvalues of a non-finite X'VX are NaN.
     """
 
     T: np.ndarray
@@ -210,53 +211,46 @@ class BatchDecomposition(NamedTuple):
     positive_definite: np.ndarray
 
 
-def _descending_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of one symmetric matrix or a stack of them (last two axes).
-
-    Eigenvalues come out descending, ties in LAPACK's order; each
-    eigenvector's largest-magnitude entry is made positive.
-    """
-    lam, vec = np.linalg.eigh(A)
-    order = np.argsort(-lam, axis=-1, kind="stable")
-    lam = np.take_along_axis(lam, order, axis=-1)
-    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
-    anchor = np.argmax(np.abs(vec), axis=-2)
-    flip = np.sign(np.take_along_axis(vec, anchor[..., None, :], axis=-2))
-    return lam, vec * flip
-
-
 def spectral_decompose(X, v_diag) -> SpectralDecomposition:
-    """Eigendecompose X'VX into descending, sign-fixed eigenpairs."""
-    X = np.asarray(X, dtype=float)
-    v = np.asarray(v_diag, dtype=float)
-    A = (X * v[:, None]).T @ X
-    A = 0.5 * (A + A.T)
-    if not np.all(np.isfinite(A)):
+    """Eigendecompose X'VX into descending, sign-fixed eigenpairs.
+
+    The one-row case of ``spectral_decompose_batch``.
+    """
+    row = spectral_decompose_batch(X, np.asarray(v_diag, dtype=float)[None])
+    smallest = float(row.lambdas[0, -1])
+    if np.isnan(smallest):
         raise DecompositionError("X'VX contains non-finite entries")
-    lam, vec = _descending_eigh(A)
-    if lam[-1] <= 0.0:
+    if not row.positive_definite[0]:
         raise DecompositionError(
-            f"X'VX not positive definite (smallest eigenvalue {lam[-1]:.3e})",
-            smallest_eigenvalue=float(lam[-1]),
+            f"X'VX not positive definite (smallest eigenvalue {smallest:.3e})",
+            smallest_eigenvalue=smallest,
         )
-    return SpectralDecomposition(T=vec, lambdas=lam)
+    return SpectralDecomposition(T=row.T[0], lambdas=row.lambdas[0])
 
 
 def spectral_decompose_batch(X, v_rows) -> BatchDecomposition:
-    """``spectral_decompose`` for every weight row of v_rows (b, n) at once.
+    """Descending, sign-fixed eigenpairs of X'VX for every weight row of v_rows.
 
-    X'VX is formed by ``stacked_gram`` and all rows share one stacked
-    ``eigh``.
+    The package's one eigendecomposition: X'VX is formed by
+    ``stacked_gram`` for each row of v_rows (b, n) and all rows share one
+    stacked ``eigh``.
     """
     A = stacked_gram(np.asarray(X, dtype=float), np.asarray(v_rows, dtype=float))
     A = 0.5 * (A + A.swapaxes(-1, -2))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
-    # non-finite rows are decomposed as the identity and then flagged
-    A[~finite] = np.eye(X.shape[1])
-    lam, vec = _descending_eigh(A)
-    return BatchDecomposition(
-        T=vec, lambdas=lam, positive_definite=finite & (lam[:, -1] > 0.0)
-    )
+    # non-finite rows are decomposed as the identity, then lose their
+    # eigenvalues
+    A[~finite] = np.eye(A.shape[-1])
+    lam, vec = np.linalg.eigh(A)
+    # descending, ties in LAPACK's order; each eigenvector's largest-magnitude
+    # entry made positive
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
+    anchor = np.argmax(np.abs(vec), axis=-2)
+    vec = vec * np.sign(np.take_along_axis(vec, anchor[..., None, :], axis=-2))
+    lam[~finite] = np.nan
+    return BatchDecomposition(T=vec, lambdas=lam, positive_definite=lam[:, -1] > 0.0)
 
 
 def select_components(lambdas, ptv_threshold: float):

@@ -94,6 +94,11 @@ def parse_dataset(
         bad_row = int(np.argmin(finite))
         lineno, _ = next(itertools.islice(_data_lines(path, has_header), bad_row, None))
         raise _non_finite(lineno)
+    n, p = data.shape[0], data.shape[1] - 1
+    if n < p:
+        raise DatasetFormatError(
+            f"{n} data rows for {p} covariates: need at least one row per covariate"
+        )
     y = data[:, response_column]
     X = np.delete(data, response_column, axis=1)
     return Dataset(X=X, y=y)

@@ -3,7 +3,9 @@
 Everything downstream (shrinkage estimators, error-matrix analysis, the
 simulation harness) consumes the weighted cross-products ``X'VX`` and the
 working response produced here, so this module is the single place where
-probabilities, Bernoulli weights and the fitting loop are defined.
+probabilities, Bernoulli weights and the fitting loop are defined.  The
+loop is written once, in ``irls_fit_batch``, for a stack of responses
+that share one design; ``irls_fit`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ __all__ = [
     "irls_fit_batch",
 ]
 
-# step-halving schedule shared by the scalar and batched IRLS loops: trial
-# scales 1, 1/2, ..., 1/1024, each accepted when the log-likelihood drops by
-# no more than LOGLIK_SLACK * (1 + |loglik|) (summation roundoff)
+# step-halving schedule of the IRLS loop: trial scales 1, 1/2, ..., 1/1024,
+# each accepted when the log-likelihood drops by no more than
+# LOGLIK_SLACK * (1 + |loglik|) (summation roundoff)
 HALVING_TRIES = 11
 LOGLIK_SLACK = 1e-11
 
@@ -179,11 +181,9 @@ def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
 def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
     """Fit the maximum-likelihood coefficients by IRLS with step-halving.
 
-    Starts at beta = 0 and applies Newton steps ``(X'VX)^{-1} X'(y - pi)``.
-    A step that lowers the log-likelihood is halved up to 10 times; if no
-    halving recovers a non-decreasing likelihood, iteration stops and the
-    fit is returned with ``converged=False``.  Convergence is declared when
-    the max-norm of the accepted step drops to ``config.tolerance``.
+    The one-row case of ``irls_fit_batch``, which documents the loop.  The
+    trace gains the log-likelihood after a final sub-tolerance step, which
+    the batched loop does not evaluate.
 
     Raises
     ------
@@ -191,78 +191,25 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
         If ``X'VX`` is singular at some iterate (severe collinearity or
         complete separation).
     """
-    X, y = data.X, data.y
-    p = data.p
-    clip = config.probability_clip
-
-    beta = np.zeros(p)
-    loglik = float(_stable_loglik(X @ beta, y))
-    trace = [loglik]
-    converged = False
-    step_norm = np.inf
-    iterations = 0
-
-    for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
-        pi = np.clip(expit(X @ beta), clip, 1.0 - clip)
-        v = pi * (1.0 - pi)
-        hessian = (X * v[:, None]).T @ X
-        score = X.T @ (y - pi)
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"X'VX singular at IRLS iteration {iteration}", iteration
-            ) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularSystemError(
-                f"non-finite IRLS step at iteration {iteration}", iteration
-            )
-
-        # a sub-tolerance step means we already sit at the optimum; taking it
-        # unconditionally avoids stalling on likelihood roundoff noise
-        step_norm = float(np.max(np.abs(step)))
-        if step_norm <= config.tolerance:
-            beta = beta + step
-            loglik = float(_stable_loglik(X @ beta, y))
-            trace.append(loglik)
-            converged = True
-            break
-
-        # step-halving: never accept a likelihood decrease beyond summation
-        # roundoff (the slack keeps tight tolerances from stalling at the
-        # optimum on floating-point noise)
-        slack = LOGLIK_SLACK * (1.0 + abs(loglik))
-        scale = 1.0
-        accepted = False
-        for _ in range(HALVING_TRIES):
-            candidate = beta + scale * step
-            cand_loglik = float(_stable_loglik(X @ candidate, y))
-            if cand_loglik >= loglik - slack:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-
-        beta = candidate
-        loglik = cand_loglik
-        trace.append(loglik)
-        step_norm = float(np.max(np.abs(scale * step)))
-        if step_norm <= config.tolerance:
-            converged = True
-            break
-
-    pi = np.clip(expit(X @ beta), clip, 1.0 - clip)
-    v = pi * (1.0 - pi)
-    z = X @ beta + (y - pi) / v
+    batch = irls_fit_batch(data.X, data.y[None], config)
+    iterations = int(batch.iterations[0])
+    if batch.singular[0]:
+        raise SingularSystemError(
+            f"X'VX singular or IRLS step non-finite at iteration {iterations}",
+            iterations,
+        )
+    converged = bool(batch.converged[0])
+    trace = batch.loglik_trace[0]
+    trace = trace[~np.isnan(trace)].tolist()
+    if converged and len(trace) == iterations:
+        trace.append(float(_stable_loglik(data.X @ batch.beta[0], data.y)))
     return LogisticFit(
-        beta=beta,
-        v_diag=v,
-        z=z,
+        beta=batch.beta[0],
+        v_diag=batch.v_diag[0],
+        z=batch.z[0],
         iterations=iterations,
         converged=converged,
-        final_step_norm=step_norm,
+        final_step_norm=float(batch.final_step_norm[0]),
         loglik_trace=tuple(trace),
     )
 
@@ -271,11 +218,17 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
 class BatchFit:
     """IRLS outcomes for a stack of responses that share one design matrix.
 
-    Row i holds what ``irls_fit`` gives for response row i: ``beta`` (b, p),
-    ``v_diag`` and ``z`` (b, n) at the final iterate, ``iterations`` and
-    ``converged``.  ``singular`` marks the rows for which ``irls_fit``
-    raises ``SingularSystemError``; they keep the iterate reached before
-    the failed solve and are never converged.
+    ``irls_fit`` is the one-row case: its ``LogisticFit`` is row 0 of
+    ``irls_fit_batch(X, y[None])``.  Per row: ``beta`` (b, p), ``v_diag``
+    and ``z`` (b, n) at the final iterate, ``iterations``, ``converged``
+    and ``final_step_norm``, the max-norm of the last step taken (of the
+    rejected full step when step-halving failed).  ``loglik_trace``
+    (b, max_iterations + 1) holds the log-likelihood at the start and after
+    each accepted step, NaN after the row's last entry; a row that
+    converged on a sub-tolerance step has no entry for that step.
+    ``singular`` marks the rows whose Newton system was singular or gave a
+    non-finite step; they keep the iterate reached before the failed solve
+    and are never converged.
     """
 
     beta: np.ndarray
@@ -284,6 +237,8 @@ class BatchFit:
     iterations: np.ndarray
     converged: np.ndarray
     singular: np.ndarray
+    final_step_norm: np.ndarray
+    loglik_trace: np.ndarray
 
     def select(self, rows) -> "BatchFit":
         """The fits of the given rows (index array or boolean mask)."""
@@ -297,8 +252,7 @@ GRAM_CHUNK_BYTES = 1 << 18
 def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
 
-    Each matrix is one (p x n)(n x p) product, the shape ``irls_fit`` and
-    ``spectral_decompose`` issue.  Rows go through in chunks whose scaled
+    Each matrix is its own (p x n)(n x p) product.  Rows go through in chunks whose scaled
     copy of X' fits ``GRAM_CHUNK_BYTES`` (one row per chunk when a single
     row needs more), so the temporary does not grow with the row count.
     """
@@ -332,16 +286,20 @@ def _newton_steps(hessian: np.ndarray, score: np.ndarray):
 
 
 def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
-    """``irls_fit`` for every row of the 0/1 response matrix Y at once.
+    """Fit every row of the 0/1 response matrix Y by IRLS with step-halving.
 
-    Each row follows ``irls_fit`` step for step: the start at beta = 0,
-    the Newton step, the sub-tolerance rule, the step-halving schedule and
-    the iteration cap, so row i agrees with
-    ``irls_fit(Dataset(X, Y[i]), config)`` to floating-point roundoff.
-    Rows leave the active set as they converge, stall or meet a singular
-    system; a singular row is flagged in ``singular`` instead of raising.
-    Every matrix product is one row's product with X, the shapes
-    ``irls_fit`` issues, so no BLAS call grows with the number of rows.
+    This is the package's one IRLS loop; ``irls_fit`` is its one-row case.
+    Each row starts at beta = 0 and takes Newton steps
+    ``(X'VX)^{-1} X'(y - pi)``.  A step whose max-norm is at most
+    ``config.tolerance`` is taken unconditionally and converges the row.
+    A longer step is halved up to 10 times until the log-likelihood drops
+    by no more than summation roundoff; the row stops unconverged when no
+    halving is accepted, and converges when the accepted step is within
+    the tolerance.  Rows leave the active set as they converge, stall or
+    meet a singular system, which is flagged in ``singular``.  Every
+    matrix product is one row's product with X, so no BLAS call grows
+    with the number of rows and each row's arithmetic is independent of
+    the others.
     """
     X = _as_design(X)
     Y = np.asarray(Y, dtype=float)
@@ -353,7 +311,11 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
 
     beta = np.zeros((Y.shape[0], X.shape[1]))
     eta = _stacked_xb(X, beta)
-    loglik = _stable_loglik(eta, Y)
+    # column t holds the log-likelihood after iteration t; an active row
+    # accepted a step at every iteration so far
+    trace = np.full((Y.shape[0], config.max_iterations + 1), np.nan)
+    trace[:, 0] = _stable_loglik(eta, Y)
+    final_step_norm = np.full(Y.shape[0], np.inf)
     iterations = np.zeros(Y.shape[0], dtype=int)
     converged = np.zeros(Y.shape[0], dtype=bool)
     singular = np.zeros(Y.shape[0], dtype=bool)
@@ -370,15 +332,20 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         step, bad = _newton_steps(hessian, score)
         singular[active[bad]] = True
 
-        # sub-tolerance steps are taken unconditionally (see irls_fit)
+        # a sub-tolerance step means the row already sits at the optimum;
+        # taking it unconditionally avoids stalling on likelihood roundoff
         step_norm = np.max(np.abs(step), axis=-1)
+        final_step_norm[active[~bad]] = step_norm[~bad]
         done = ~bad & (step_norm <= tolerance)
         beta[active[done]] += step[done]
         converged[active[done]] = True
 
+        # step-halving: never accept a likelihood decrease beyond summation
+        # roundoff (the slack keeps tight tolerances from stalling at the
+        # optimum on floating-point noise)
         trial = ~bad & ~done
         rows, step = active[trial], step[trial]
-        base, y, start = beta[rows], Y[rows], loglik[rows]
+        base, y, start = beta[rows], Y[rows], trace[rows, iteration - 1]
         floor = start - LOGLIK_SLACK * (1.0 + np.abs(start))
         scale = np.ones(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
@@ -393,13 +360,14 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
             taken = rows[pending[ok]]
             beta[taken] = candidate[ok]
             eta[taken] = cand_eta[ok]
-            loglik[taken] = cand_loglik[ok]
+            trace[taken, iteration] = cand_loglik[ok]
             accepted[pending[ok]] = True
             pending = pending[~ok]
             scale[pending] *= 0.5
 
         # rows whose halving failed stop here, unconverged
         step_norm = np.max(np.abs(scale[:, None] * step), axis=-1)
+        final_step_norm[rows[accepted]] = step_norm[accepted]
         small = accepted & (step_norm <= tolerance)
         converged[rows[small]] = True
         active = rows[accepted & ~small]
@@ -414,4 +382,6 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         iterations=iterations,
         converged=converged,
         singular=singular,
+        final_step_norm=final_step_norm,
+        loglik_trace=trace,
     )

@@ -244,10 +244,10 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     design: one ``rng.random((block, n))`` draw (the same stream as that
     many successive ``generate_response`` calls), one ``irls_fit_batch``,
     one ``spectral_decompose_batch`` and the rules and estimators over the
-    block's rows.  Every replication gets the per-replication
-    ``irls_fit`` / ``spectral_decompose`` result to roundoff, so cell
-    results equal that loop's to roundoff and depend on neither the
-    process nor the worker count.
+    block's rows.  No row's IRLS arithmetic depends on the other rows, so
+    a replication's fit is what ``irls_fit``, the one-row case, gives for
+    it, and cell results depend on neither the process nor the worker
+    count.
 
     Raises
     ------

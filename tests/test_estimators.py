@@ -24,6 +24,7 @@ from liulogit import (
 )
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
+from _oracles import dense_decompose
 from _util import correlated_design, random_dataset, tight_fit
 
 
@@ -80,6 +81,12 @@ class TestSpectralDecompose:
         with pytest.raises(DecompositionError) as err:
             spectral_decompose(X, np.full(4, 0.25))
         assert err.value.smallest_eigenvalue <= 0.0
+
+    def test_reports_nonfinite(self):
+        v = np.full(4, 0.25)
+        v[2] = np.inf
+        with pytest.raises(DecompositionError, match="non-finite entries"):
+            spectral_decompose(np.eye(4) + 1.0, v)
 
 
 class TestSelectComponents:
@@ -357,9 +364,11 @@ class TestBatchedSpectralCore:
         X, fit, decomp = batched_instance(120, 5, 0.95, 12, seed=40)
         assert decomp.positive_definite.all()
         for i in range(12):
+            want = dense_decompose(X, fit.v_diag[i])
             single = spectral_decompose(X, fit.v_diag[i])
-            assert np.max(np.abs(decomp.lambdas[i] - single.lambdas)) <= 1e-12
-            assert np.max(np.abs(decomp.T[i] - single.T)) <= 1e-10
+            for lam, T in ((decomp.lambdas[i], decomp.T[i]), (single.lambdas, single.T)):
+                assert np.max(np.abs(lam - want.lambdas)) <= 1e-12
+                assert np.max(np.abs(T - want.T)) <= 1e-10
 
     def test_indefinite_and_nonfinite_rows_flagged(self):
         rng = np.random.default_rng(41)

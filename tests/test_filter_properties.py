@@ -4,11 +4,12 @@ Each draw is a synthetic eigensystem X'VX = T diag(lambda) T' (random
 orthonormal T, descending lambda), a coefficient vector and parameters
 k > 0, d and r.  The dense-matrix MSEM below is written from the
 estimators' defining matrix forms with linear solves, independent of the
-filter factors.
+filter factors.  The theorem 3.2 and 3.3 properties draw proper splits
+(r < p) with d < k and d + k > 0.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +24,10 @@ from liulogit import (
     asymptotic_msem,
     batch_estimates,
     point_estimate,
+    psd_dominates,
     smse,
+    theorem_3_2_condition,
+    theorem_3_3_condition,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -147,7 +151,8 @@ def test_batch_rows_equal_point_estimates(rows):
     fit = BatchFit(
         beta=np.stack(betas), v_diag=np.full((b, 1), 0.25), z=np.zeros((b, 1)),
         iterations=np.ones(b, dtype=int), converged=np.ones(b, dtype=bool),
-        singular=np.zeros(b, dtype=bool),
+        singular=np.zeros(b, dtype=bool), final_step_norm=np.zeros(b),
+        loglik_trace=np.zeros((b, 1)),
     )
     decomp = BatchDecomposition(
         T=np.stack([dec.T for dec in decomps]),
@@ -161,3 +166,64 @@ def test_batch_rows_equal_point_estimates(rows):
             expected = point_estimate(fit_at(betas[i]), None, spec, decomps[i])
             scale = max(1.0, float(np.max(np.abs(betas[i]))))
             assert np.max(np.abs(estimates[spec.kind][i] - expected)) <= 1e-13 * scale
+
+
+# a drawn MSEM difference counts as clearly resolved when its eigenvalue
+# scale, and an indefinite difference's negative eigenvalue, are at least
+# this share of the larger MSEM entry and of that scale (PSD_TOL is 1e-8)
+MARGIN = 1e-6
+
+
+@st.composite
+def proper_splits(draw):
+    """(split, beta, params): r < p, d < k and d + k > 0."""
+    p = draw(st.integers(2, 7))
+    decomp, beta, k, _, _ = draw(problems(p))
+    d = k * draw(st.floats(-0.99, 0.99))
+    return decomp.split(draw(st.integers(1, p - 1))), beta, ShrinkageParams(k=k, d=d)
+
+
+def assert_verdict_matches_psd_oracle(
+    theorem, incumbent, claimed_span, split, beta, params, on_span
+):
+    """The closed-form verdict of ``theorem`` against ``psd_dominates``.
+
+    With ``on_span`` beta is projected onto ``claimed_span``, where the
+    closed form says PCLTL dominates ``incumbent``; otherwise beta stays
+    generic and only clearly indefinite MSEM differences are kept.
+    """
+    if on_span:
+        beta = claimed_span @ (claimed_span.T @ beta)
+    decomp = split.decomposition
+    msem_a = asymptotic_msem(incumbent, decomp, beta).msem
+    msem_b = asymptotic_msem(
+        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
+    ).msem
+    diff = msem_a - msem_b
+    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
+    scale = float(np.max(np.abs(eigs)))
+    assume(scale >= MARGIN * max(np.max(np.abs(msem_a)), np.max(np.abs(msem_b))))
+    if not on_span:
+        assume(eigs[0] <= -MARGIN * scale)
+    assert theorem(beta, split, params).holds == on_span
+    assert psd_dominates(msem_a, msem_b).holds == on_span
+
+
+@PROPERTY_SETTINGS
+@given(proper_splits(), st.booleans())
+def test_theorem_3_2_verdict_matches_psd_oracle(instance, on_span):
+    split, beta, params = instance
+    pclr = EstimatorSpec(EstimatorKind.PCLR, r=split.r)
+    assert_verdict_matches_psd_oracle(
+        theorem_3_2_condition, pclr, split.t_tail, split, beta, params, on_span
+    )
+
+
+@PROPERTY_SETTINGS
+@given(proper_splits(), st.booleans())
+def test_theorem_3_3_verdict_matches_psd_oracle(instance, on_span):
+    split, beta, params = instance
+    ltl = EstimatorSpec(EstimatorKind.LTL, params=params)
+    assert_verdict_matches_psd_oracle(
+        theorem_3_3_condition, ltl, split.t_r, split, beta, params, on_span
+    )

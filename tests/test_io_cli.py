@@ -192,6 +192,12 @@ class TestFitCommand:
         assert main(["fit", "--input", str(toy_csv)]) == EXIT_DATA
         assert "line 5: non-finite cell" in capsys.readouterr().err
 
+    def test_fewer_rows_than_covariates_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("1,0.5,0.1,0.2\n0,-0.3,0.4,0.9\n")
+        assert main(["fit", "--input", str(path)]) == EXIT_DATA
+        assert "2 data rows for 3 covariates" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["fit"])  # --input is required

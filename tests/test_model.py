@@ -16,6 +16,7 @@ from liulogit import (
     working_response,
 )
 
+from _oracles import scalar_irls
 from _util import correlated_design, random_dataset, tight_fit
 
 LN3 = math.log(3.0)
@@ -178,23 +179,39 @@ class TestIrlsFit:
         assert np.max(np.abs(fit.beta - beta)) < 0.2
 
 
+def assert_fit_matches(fit, want, trace):
+    """One fit (a LogisticFit or one BatchFit row) against the oracle's."""
+    assert fit.iterations == want.iterations
+    assert fit.converged == want.converged
+    assert np.max(np.abs(fit.beta - want.beta)) <= 1e-10
+    assert np.max(np.abs(fit.v_diag - want.v_diag)) <= 1e-10
+    np.testing.assert_allclose(fit.z, want.z, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(
+        fit.final_step_norm, want.final_step_norm, rtol=1e-10, atol=0
+    )
+    got = np.asarray(fit.loglik_trace)
+    np.testing.assert_allclose(got[~np.isnan(got)], trace, rtol=1e-10, atol=0)
+
+
 def assert_batch_matches_scalar(X, Y, config=FitConfig()):
-    """Row i of irls_fit_batch against irls_fit on response row i."""
+    """Each row of irls_fit_batch, and irls_fit on it, against the scalar oracle."""
     batch = irls_fit_batch(X, Y, config)
     for i, y in enumerate(Y):
         try:
-            fit = irls_fit(Dataset(X, y), config)
+            want, sub_tolerance_end = scalar_irls(X, y, config)
         except SingularSystemError as exc:
             assert batch.singular[i], i
             assert not batch.converged[i]
             assert batch.iterations[i] == exc.iteration
+            with pytest.raises(SingularSystemError) as err:
+                irls_fit(Dataset(X, y), config)
+            assert err.value.iteration == exc.iteration
             continue
         assert not batch.singular[i], i
-        assert batch.converged[i] == fit.converged, i
-        assert batch.iterations[i] == fit.iterations, i
-        assert np.max(np.abs(batch.beta[i] - fit.beta)) <= 1e-10
-        assert np.max(np.abs(batch.v_diag[i] - fit.v_diag)) <= 1e-10
-        np.testing.assert_allclose(batch.z[i], fit.z, rtol=1e-10, atol=1e-10)
+        # the batch evaluates no log-likelihood after a final sub-tolerance step
+        batch_trace = want.loglik_trace[:-1] if sub_tolerance_end else want.loglik_trace
+        assert_fit_matches(batch.select(i), want, batch_trace)
+        assert_fit_matches(irls_fit(Dataset(X, y), config), want, want.loglik_trace)
     return batch
 
 

@@ -6,9 +6,9 @@ from liulogit import (
     CellFailedError,
     CellFailure,
     CellResult,
-    Dataset,
     DecompositionError,
     EstimatorKind,
+    EstimatorSpec,
     ShrinkageParams,
     SimulationConfig,
     SingularSystemError,
@@ -20,18 +20,16 @@ from liulogit import (
     derive_cell_seed,
     generate_design,
     generate_response,
-    irls_fit,
-    ltl_estimate,
     newhouse_oman_beta,
     pclr_estimate,
     pcltl_estimate,
+    point_estimate,
     ptv_for_p,
     run_cells,
     run_study,
     scale_columns,
     select_components,
     simulate_cell,
-    spectral_decompose,
     study_configs,
 )
 from liulogit.simulation import (
@@ -40,6 +38,8 @@ from liulogit.simulation import (
     _build_design,
     _cell_rng,
 )
+
+from _oracles import dense_decompose, scalar_irls
 
 SMALL_CELL = SimulationConfig(n=150, p=4, rho=0.9, replications=40, seed=2024)
 
@@ -58,8 +58,8 @@ def reference_cell(config, keep_estimates=False):
     """The per-replication cell loop: one scalar IRLS fit per replication.
 
     Oracle for the block-batched ``simulate_cell``: same draws, same rules,
-    built from ``irls_fit``, ``spectral_decompose`` and the four scalar
-    estimators.
+    built from the scalar IRLS loop and dense eigendecomposition of
+    ``_oracles`` and the scalar estimators on that decomposition.
     """
     rng = _cell_rng(config)
     X, beta = _build_design(config, rng)
@@ -70,7 +70,7 @@ def reference_cell(config, keep_estimates=False):
     for _ in range(config.replications):
         y = generate_response(X, beta, rng)
         try:
-            fit = irls_fit(Dataset(X, y), config.fit)
+            fit, _ = scalar_irls(X, y, config.fit)
         except SingularSystemError:
             divergent += 1
             continue
@@ -78,7 +78,7 @@ def reference_cell(config, keep_estimates=False):
             divergent += 1
             continue
         try:
-            decomp = spectral_decompose(X, fit.v_diag)
+            decomp = dense_decompose(X, fit.v_diag)
         except DecompositionError:
             divergent += 1
             continue
@@ -98,7 +98,9 @@ def reference_cell(config, keep_estimates=False):
         params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
         estimates = {
             EstimatorKind.ML: fit.beta,
-            EstimatorKind.LTL: ltl_estimate(fit, X, params),
+            EstimatorKind.LTL: point_estimate(
+                fit, X, EstimatorSpec(EstimatorKind.LTL, params=params), decomp
+            ),
             EstimatorKind.PCLR: pclr_estimate(fit, X, split),
             EstimatorKind.PCLTL: pcltl_estimate(fit, X, split, params),
         }
