@@ -42,13 +42,7 @@ from .io import (
     study_to_json,
 )
 from .model import FitConfig, irls_fit
-from .msem import (
-    asymptotic_msem,
-    psd_dominates,
-    theorem_3_1_condition,
-    theorem_3_2_condition,
-    theorem_3_3_condition,
-)
+from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
     CellResult,
     SimulationConfig,
@@ -68,8 +62,7 @@ SEED_ENV_VAR = "LIULOGIT_SEED"
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_exit(message)
 
 
 def _default_seed() -> int:
@@ -222,7 +215,7 @@ def _run_fit(args) -> int:
     dataset, fit, decomp, r, params, clamped = _fit_pipeline(args)
     coefficients = {
         kind.value: point_estimate(
-            fit, dataset.X, _spec_for(kind, params, r), decomp
+            fit, dataset.X, EstimatorSpec.of(kind, params, r), decomp
         ).tolist()
         for kind in kinds
     }
@@ -309,13 +302,6 @@ def _run_simulate(args) -> int:
     return EXIT_OK if not failures else EXIT_NUMERIC
 
 
-_PAIR_THEOREMS = {
-    (EstimatorKind.PCLTL, EstimatorKind.ML): "T3_1",
-    (EstimatorKind.PCLTL, EstimatorKind.PCLR): "T3_2",
-    (EstimatorKind.PCLTL, EstimatorKind.LTL): "T3_3",
-}
-
-
 def _estimator_kind(option: str, token: str, name: str) -> EstimatorKind:
     """The estimator ``name`` read from one token of ``option``."""
     try:
@@ -379,6 +365,8 @@ def _run_compare(args) -> int:
         if not args.beta_file:
             raise ValueError("--beta-source file needs --beta-file")
         beta = _read_beta_file(args.beta_file)
+    elif args.beta_file:
+        raise ValueError("--beta-file needs --beta-source file")
     dataset, fit, decomp, r, params, _ = _fit_pipeline(args)
     split = decomp.split(r)
     if beta is None:
@@ -392,26 +380,16 @@ def _run_compare(args) -> int:
 
     rows = []
     for challenger, incumbent in comparisons:
-        theorem = _PAIR_THEOREMS.get((challenger, incumbent))
-        if theorem == "T3_1":
-            verdict = theorem_3_1_condition(beta, decomp, split, params)
-        elif theorem == "T3_2":
-            verdict = theorem_3_2_condition(beta, split, params)
-        elif theorem == "T3_3":
-            verdict = theorem_3_3_condition(beta, split, params)
-        else:
-            verdict = None
-        challenger_report = asymptotic_msem(
-            _spec_for(challenger, params, r), decomp, beta, beta_source
-        )
-        incumbent_report = asymptotic_msem(
-            _spec_for(incumbent, params, r), decomp, beta, beta_source
+        verdict = theorem_condition(challenger, incumbent, beta, split, params)
+        challenger_report, incumbent_report = (
+            asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta, beta_source)
+            for kind in (challenger, incumbent)
         )
         oracle = psd_dominates(incumbent_report.msem, challenger_report.msem)
         rows.append(
             {
                 "pair": f"{challenger.value}:{incumbent.value}",
-                "theorem": theorem or "direct_psd",
+                "theorem": "direct_psd" if verdict is None else verdict.theorem,
                 "condition_value": None if verdict is None else verdict.condition_value,
                 "condition_holds": None if verdict is None else verdict.holds,
                 "psd_min_eigenvalue": oracle.condition_value,
@@ -428,32 +406,11 @@ def _run_compare(args) -> int:
     return EXIT_OK
 
 
-def _spec_for(kind, params, r):
-    needs_params = kind in (EstimatorKind.LTL, EstimatorKind.PCLTL)
-    needs_r = kind in (EstimatorKind.PCLR, EstimatorKind.PCLTL)
-    return EstimatorSpec(
-        kind,
-        params=params if needs_params else None,
-        r=r if needs_r else None,
-    )
-
-
 def _compare_report_rows(report):
-    keys = (
-        "pair",
-        "theorem",
-        "condition_value",
-        "condition_holds",
-        "psd_min_eigenvalue",
-        "psd_dominates",
-        "agreement",
-        "smse_challenger",
-        "smse_incumbent",
-        "beta_source",
-    )
-    rows = [keys]
-    for row in report["comparisons"]:
-        rows.append(tuple("" if row[k] is None else str(row[k]) for k in keys))
+    comparisons = report["comparisons"]
+    rows = [tuple(comparisons[0])]
+    for row in comparisons:
+        rows.append(tuple("" if value is None else str(value) for value in row.values()))
     return rows
 
 

@@ -16,9 +16,11 @@ dropped ones:
     PCLR        1                      0
     PCLTL       (lambda-d)/(lambda+k)  0
 
-with biasing parameters k > 0 and d.  PCLTL contains the other three as
-the special cases r = p, k -> 0 with d = 0, and both at once.  The
-asymptotic error matrices in ``msem`` are built from the same factors.
+with biasing parameters k > 0 and d: ``EstimatorKind.shrinks`` and
+``EstimatorKind.truncates`` say which of the two filters an estimator applies.
+PCLTL contains the other three as the special cases r = p, k -> 0 with
+d = 0, and both at once.  The asymptotic error matrices in ``msem`` are
+built from the same factors.
 """
 
 from __future__ import annotations
@@ -159,6 +161,16 @@ class EstimatorKind(enum.Enum):
     def display_name(self) -> str:
         return {"ml": "MLE", "ltl": "LTL", "pclr": "PCLR", "pcltl": "PCLTL"}[self.value]
 
+    @property
+    def shrinks(self) -> bool:
+        """Whether the retained axes are shrunk by k and d (LTL, PCLTL)."""
+        return self in (EstimatorKind.LTL, EstimatorKind.PCLTL)
+
+    @property
+    def truncates(self) -> bool:
+        """Whether only the r leading axes are kept (PCLR, PCLTL)."""
+        return self in (EstimatorKind.PCLR, EstimatorKind.PCLTL)
+
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -169,22 +181,22 @@ class EstimatorSpec:
     r: int | None = None
 
     def __post_init__(self):
-        needs_params = self.kind in (EstimatorKind.LTL, EstimatorKind.PCLTL)
-        if needs_params != (self.params is not None):
-            raise ValueError(
-                f"{self.kind.display_name} requires params"
-                if needs_params
-                else f"{self.kind.display_name} takes no params"
-            )
-        needs_r = self.kind in (EstimatorKind.PCLR, EstimatorKind.PCLTL)
-        if needs_r != (self.r is not None):
-            raise ValueError(
-                f"{self.kind.display_name} requires r"
-                if needs_r
-                else f"{self.kind.display_name} takes no r"
-            )
+        name = self.kind.display_name
+        for needed, value, field in (
+            (self.kind.shrinks, self.params, "params"),
+            (self.kind.truncates, self.r, "r"),
+        ):
+            if needed != (value is not None):
+                raise ValueError(
+                    f"{name} requires {field}" if needed else f"{name} takes no {field}"
+                )
         if self.r is not None and self.r < 1:
             raise ValueError("r must be at least 1")
+
+    @classmethod
+    def of(cls, kind: EstimatorKind, params=None, r=None) -> "EstimatorSpec":
+        """The spec of ``kind``, keeping only the inputs that ``kind`` reads."""
+        return cls(kind, params if kind.shrinks else None, r if kind.truncates else None)
 
     def factors(self, lambdas) -> np.ndarray:
         """``filter_factors`` of this estimator at its own r, k and d."""
@@ -273,16 +285,16 @@ def filter_factors(kind: EstimatorKind, lambdas, r=None, k=None, d=None) -> np.n
     """Filter factors g of one estimator: its estimate is T diag(g) T' b_ml.
 
     ``lambdas`` (..., p) are the descending eigenvalues of X'VX.  ``r``,
-    ``k`` and ``d`` are scalars or arrays of the leading batch shape; only
-    those the estimator uses are read (see the module docstring).
+    ``k`` and ``d`` are scalars or arrays of the leading batch shape; k and
+    d are read only when ``kind.shrinks``, r only when ``kind.truncates``.
     """
     lam = np.asarray(lambdas, dtype=float)
     g = np.ones_like(lam)
-    if kind in (EstimatorKind.LTL, EstimatorKind.PCLTL):
+    if kind.shrinks:
         k = np.asarray(k, dtype=float)[..., None]
         d = np.asarray(d, dtype=float)[..., None]
         g = (lam - d) / (lam + k)
-    if kind in (EstimatorKind.PCLR, EstimatorKind.PCLTL):
+    if kind.truncates:
         p = lam.shape[-1]
         r = np.asarray(r)
         if np.any((r < 1) | (r > p)):
@@ -352,19 +364,19 @@ def choose_d(lambdas):
     return float(d) if d.ndim == 0 else d
 
 
-def choose_k(lambdas, alpha_hat, d: float, floor: float = ALPHA_FLOOR) -> KSelection:
+def choose_k(lambdas, alpha_hat, d: float) -> KSelection:
     """Arithmetic-mean k rule over eigencoordinates of the ML fit.
 
     k = mean_j (lambda_j - d*(1 + lambda_j*alpha_j^2)) / (lambda_j*alpha_j^2),
-    with |alpha_j| floored to avoid division blow-up.  A nonpositive result
-    is clamped to ``K_MIN`` and flagged.  ``choose_k_batch`` applies the
-    same rule to many fits at once.
+    with |alpha_j| floored at ``ALPHA_FLOOR`` to avoid division blow-up.  A
+    nonpositive result is clamped to ``K_MIN`` and flagged.
+    ``choose_k_batch`` applies the same rule to many fits at once.
     """
-    value, clamped = choose_k_batch(lambdas, alpha_hat, d, floor)
+    value, clamped = choose_k_batch(lambdas, alpha_hat, d)
     return KSelection(float(value), bool(clamped))
 
 
-def choose_k_batch(lambdas, alpha_hat, d, floor: float = ALPHA_FLOOR) -> KSelection:
+def choose_k_batch(lambdas, alpha_hat, d) -> KSelection:
     """``choose_k`` over leading batch axes of lambdas, alpha_hat and d.
 
     Both fields of the result are arrays of the batch shape.
@@ -376,7 +388,7 @@ def choose_k_batch(lambdas, alpha_hat, d, floor: float = ALPHA_FLOOR) -> KSelect
     if np.any(lam <= 0.0):
         raise ValueError("lambdas must be positive")
     d = np.asarray(d, dtype=float)[..., None]
-    alpha_sq = np.maximum(alpha**2, floor**2)
+    alpha_sq = np.maximum(alpha**2, ALPHA_FLOOR**2)
     k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
     clamped = (k <= 0.0) | ~np.isfinite(k)
     return KSelection(np.where(clamped, K_MIN, k), clamped)

@@ -32,13 +32,8 @@ __all__ = [
 ]
 
 
-def parse_dataset(
-    path,
-    has_header: bool = False,
-    response_column: int = 0,
-    delimiter: str = ",",
-) -> Dataset:
-    """Read a delimited numeric file into a Dataset.
+def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> Dataset:
+    """Read a comma-delimited numeric file into a Dataset.
 
     The response column must contain only 0/1 values; remaining columns
     become covariates in file order.  Parse failures, including NaN or
@@ -50,7 +45,7 @@ def parse_dataset(
     rows = []
     expected_fields = None
     for lineno, line in _data_lines(path, has_header):
-        fields = [f.strip() for f in line.split(delimiter)]
+        fields = [f.strip() for f in line.split(",")]
         if expected_fields is None:
             expected_fields = len(fields)
             if expected_fields < 2:
@@ -163,10 +158,10 @@ def build_study_tables(results: list[CellResult]) -> list[StudyTable]:
     return tables
 
 
-def render_table_text(table: StudyTable, decimals: int = 4) -> str:
-    """Human-readable table, four decimals by default."""
+def render_table_text(table: StudyTable) -> str:
+    """Human-readable table with four decimals."""
     name_width = 6
-    cell_width = max(12, decimals + 8)
+    cell_width = 12
     lines = [f"Simulated MSE, p = {table.p}"]
     n_row = " " * name_width + "".join(
         f"{n:>{cell_width}}" for n, _ in table.columns
@@ -179,19 +174,19 @@ def render_table_text(table: StudyTable, decimals: int = 4) -> str:
     for kind in table.row_order:
         row = kind.display_name.ljust(name_width)
         row += "".join(
-            f"{value:>{cell_width}.{decimals}f}" for value in table.values[kind]
+            f"{value:>{cell_width}.4f}" for value in table.values[kind]
         )
         lines.append(row)
     return "\n".join(lines) + "\n"
 
 
-def render_table_delimited(table: StudyTable, delimiter: str = "\t") -> str:
-    """Machine-readable table with full-precision values."""
+def render_table_delimited(table: StudyTable) -> str:
+    """Tab-separated table with full-precision values."""
     header = ["estimator"] + [f"n={n};rho={rho}" for n, rho in table.columns]
-    lines = [delimiter.join(header)]
+    lines = ["\t".join(header)]
     for kind in table.row_order:
         row = [kind.display_name] + [repr(v) for v in table.values[kind]]
-        lines.append(delimiter.join(row))
+        lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,8 @@ Estimator A beats estimator B under the matrix criterion when
 conditions below are always cross-checked against a direct eigenvalue
 test of that difference, because the two printed scalar conditions and
 the underlying matrix algebra are known to disagree on some inputs (see
-``theorem_3_1_condition``).
+``theorem_3_1_condition``).  ``theorem_condition`` gives the verdict of
+whichever theorem covers a (challenger, incumbent) pair.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "theorem_3_1_condition",
     "theorem_3_2_condition",
     "theorem_3_3_condition",
+    "theorem_condition",
 ]
 
 # relative floor for "is this symmetric matrix nonnegative definite"
@@ -80,21 +82,16 @@ class DominanceVerdict:
     precondition_ok: bool = True
 
 
-def _pcltl_spec(split: ComponentSplit, params: ShrinkageParams) -> EstimatorSpec:
-    return EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r)
-
-
 def pcltl_bias(beta, split: ComponentSplit, params: ShrinkageParams) -> np.ndarray:
     """Asymptotic bias (-T_tail T_tail' - (d+k) T_r (L_r+kI)^{-1} T_r') beta."""
-    return asymptotic_msem(_pcltl_spec(split, params), split.decomposition, beta).bias
+    spec = EstimatorSpec.of(EstimatorKind.PCLTL, params, split.r)
+    return asymptotic_msem(spec, split.decomposition, beta).bias
 
 
 def pcltl_covariance(split: ComponentSplit, params: ShrinkageParams) -> np.ndarray:
     """Asymptotic covariance, diagonal (l-d)^2 / (l (l+k)^2) on retained axes."""
-    report = asymptotic_msem(
-        _pcltl_spec(split, params), split.decomposition, np.zeros(split.p)
-    )
-    return report.covariance
+    spec = EstimatorSpec.of(EstimatorKind.PCLTL, params, split.r)
+    return asymptotic_msem(spec, split.decomposition, np.zeros(split.p)).covariance
 
 
 def asymptotic_msem(
@@ -132,16 +129,14 @@ def smse(report: MsemReport) -> float:
     return float(np.trace(report.msem))
 
 
-def psd_dominates(
-    msem_a, msem_b, tol: float = PSD_TOL, strict: bool = False
-) -> DominanceVerdict:
+def psd_dominates(msem_a, msem_b, strict: bool = False) -> DominanceVerdict:
     """Direct test that ``msem_a - msem_b`` is nonnegative definite.
 
     A true verdict means the estimator behind ``msem_b`` is at least as
-    good as the one behind ``msem_a`` under the matrix criterion.  With
-    ``strict=True`` the smallest eigenvalue must clear ``+tol`` times the
-    difference's scale instead of ``-tol``, so knife-edge differences
-    count as not dominating.
+    good as the one behind ``msem_a`` under the matrix criterion: the
+    smallest eigenvalue of the difference is at least ``-PSD_TOL`` times
+    its scale.  With ``strict=True`` it must clear ``+PSD_TOL`` times the
+    scale instead, so knife-edge differences count as not dominating.
     """
     A = np.asarray(msem_a, dtype=float)
     B = np.asarray(msem_b, dtype=float)
@@ -153,9 +148,9 @@ def psd_dominates(
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     smallest = float(eigs[0]) if eigs.size else 0.0
     if strict:
-        holds = bool(smallest > tol * scale)
+        holds = bool(smallest > PSD_TOL * scale)
     else:
-        holds = bool(smallest >= -tol * scale)
+        holds = bool(smallest >= -PSD_TOL * scale)
     return DominanceVerdict(
         theorem="direct_psd",
         condition_value=smallest,
@@ -175,6 +170,16 @@ def _oracle_agreement(holds: bool, msem_incumbent, msem_challenger) -> bool:
     if holds:
         return bool(psd_dominates(msem_incumbent, msem_challenger).holds)
     return not psd_dominates(msem_incumbent, msem_challenger, strict=True).holds
+
+
+def _checked_verdict(theorem, value, holds, incumbent, beta, decomp, split, params):
+    """A closed-form verdict of PCLTL against ``incumbent``, oracle-checked."""
+    incumbent_msem, pcltl_msem = (
+        asymptotic_msem(EstimatorSpec.of(kind, params, split.r), decomp, beta).msem
+        for kind in (incumbent, EstimatorKind.PCLTL)
+    )
+    agrees = _oracle_agreement(holds, incumbent_msem, pcltl_msem)
+    return DominanceVerdict(theorem, value, holds, psd_oracle_agrees=agrees)
 
 
 def theorem_3_1_condition(
@@ -218,15 +223,8 @@ def theorem_3_1_condition(
     else:
         raise ValueError(f"unknown tail_variant {tail_variant!r}")
     value = float(retained + discarded)
-    holds = bool(value <= 1.0)
-
-    ml = asymptotic_msem(EstimatorSpec(EstimatorKind.ML), decomp, beta)
-    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
-    return DominanceVerdict(
-        theorem="T3_1",
-        condition_value=value,
-        holds=holds,
-        psd_oracle_agrees=_oracle_agreement(holds, ml.msem, pcltl.msem),
+    return _checked_verdict(
+        "T3_1", value, value <= 1.0, EstimatorKind.ML, beta, decomp, split, params
     )
 
 
@@ -235,23 +233,22 @@ def theorem_3_2_condition(
     split: ComponentSplit,
     params: ShrinkageParams,
 ) -> DominanceVerdict:
-    """PCLTL beats PCLR exactly when beta has no retained-space component.
+    """PCLTL beats PCLR when beta has no retained-space component.
 
-    The closed-form claim concerns proper splits (r < p); at r = p the
-    projection estimator coincides with the full ML fit and shrinkage can
-    dominate it outright, so only the recorded oracle is informative there.
+    The condition is sufficient, not necessary: the MSEM difference can be
+    singular yet nonnegative definite with a retained component present.
+    With T = I, lambda = (4, 2, 0.5), r = 2, k = 1, d = 0.2 and
+    beta = (0.3, 0, 0) the closed form says no while ``psd_dominates``
+    finds the difference PSD (eigenvalues 0, 0.100, 0.320).  The claim
+    concerns proper splits (r < p); at r = p the projection estimator
+    coincides with the full ML fit and shrinkage can dominate it outright,
+    so only the recorded oracle is informative there.
     """
     beta = np.asarray(beta, dtype=float)
     value = float(np.max(np.abs(split.t_r.T @ beta)))
-    holds = bool(value <= ZERO_TOL)
-    decomp = split.decomposition
-    pclr = asymptotic_msem(EstimatorSpec(EstimatorKind.PCLR, r=split.r), decomp, beta)
-    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
-    return DominanceVerdict(
-        theorem="T3_2",
-        condition_value=value,
-        holds=holds,
-        psd_oracle_agrees=_oracle_agreement(holds, pclr.msem, pcltl.msem),
+    return _checked_verdict(
+        "T3_2", value, value <= ZERO_TOL, EstimatorKind.PCLR,
+        beta, split.decomposition, split, params,
     )
 
 
@@ -260,17 +257,40 @@ def theorem_3_3_condition(
     split: ComponentSplit,
     params: ShrinkageParams,
 ) -> DominanceVerdict:
-    """PCLTL beats LTL exactly when beta has no discarded-space component."""
+    """PCLTL beats LTL when beta has no discarded-space component.
+
+    Sufficient, not necessary, as in ``theorem_3_2_condition``: in its
+    example, beta = (0, 0, 0.05) makes the difference PSD with eigenvalues
+    (0, 0, 0.079).
+    """
     beta = np.asarray(beta, dtype=float)
     tail = split.t_tail.T @ beta
     value = float(np.max(np.abs(tail))) if tail.size else 0.0
-    holds = bool(value <= ZERO_TOL)
-    decomp = split.decomposition
-    ltl = asymptotic_msem(EstimatorSpec(EstimatorKind.LTL, params=params), decomp, beta)
-    pcltl = asymptotic_msem(_pcltl_spec(split, params), decomp, beta)
-    return DominanceVerdict(
-        theorem="T3_3",
-        condition_value=value,
-        holds=holds,
-        psd_oracle_agrees=_oracle_agreement(holds, ltl.msem, pcltl.msem),
+    return _checked_verdict(
+        "T3_3", value, value <= ZERO_TOL, EstimatorKind.LTL,
+        beta, split.decomposition, split, params,
     )
+
+
+# Theorems 3.1-3.3 compare PCLTL with its three special cases.  Each entry
+# calls its theorem by the module-level name at call time, so a wrapper
+# bound to that name (as span tracing binds one) sees the call.
+_PAIR_THEOREMS = {
+    (EstimatorKind.PCLTL, EstimatorKind.ML): lambda beta, split, params: (
+        theorem_3_1_condition(beta, split.decomposition, split, params)
+    ),
+    (EstimatorKind.PCLTL, EstimatorKind.PCLR): lambda beta, split, params: (
+        theorem_3_2_condition(beta, split, params)
+    ),
+    (EstimatorKind.PCLTL, EstimatorKind.LTL): lambda beta, split, params: (
+        theorem_3_3_condition(beta, split, params)
+    ),
+}
+
+
+def theorem_condition(
+    challenger: EstimatorKind, incumbent: EstimatorKind, beta, split, params
+) -> DominanceVerdict | None:
+    """The pair's theorem verdict, or None when no theorem covers the pair."""
+    theorem = _PAIR_THEOREMS.get((challenger, incumbent))
+    return None if theorem is None else theorem(beta, split, params)

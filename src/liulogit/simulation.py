@@ -63,12 +63,7 @@ DESIGN_COLUMN_NORM = 2.0 * math.sqrt(2.0)
 # (REPLICATION_BLOCK, n) arrays whatever its replication count
 REPLICATION_BLOCK = 64
 
-ESTIMATOR_ORDER = (
-    EstimatorKind.ML,
-    EstimatorKind.LTL,
-    EstimatorKind.PCLR,
-    EstimatorKind.PCLTL,
-)
+ESTIMATOR_ORDER = tuple(EstimatorKind)
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,6 @@ class SimulationConfig:
     ptv_threshold: float = 0.75
     fit: FitConfig = field(default_factory=FitConfig)
     design_scaling: str = "fixed_norm"
-    column_norm: float = DESIGN_COLUMN_NORM
     min_components: int = 2
     components: int | None = None
 
@@ -220,7 +214,7 @@ def _cell_rng(config: SimulationConfig) -> np.random.Generator:
 def _build_design(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     X = generate_design(config.n, config.p, config.rho, rng)
     if config.design_scaling == "fixed_norm":
-        X = scale_columns(X, config.column_norm)
+        X = scale_columns(X, DESIGN_COLUMN_NORM)
     return X, newhouse_oman_beta(X)
 
 

@@ -321,6 +321,40 @@ class TestSpecsAndDispatch:
         with pytest.raises(ValueError):
             EstimatorSpec(EstimatorKind.PCLTL, params=params)
 
+    @pytest.mark.parametrize(
+        "kind, with_params, r, message",
+        [
+            (EstimatorKind.ML, True, None, "MLE takes no params"),
+            (EstimatorKind.LTL, False, None, "LTL requires params"),
+            (EstimatorKind.PCLR, False, None, "PCLR requires r"),
+            (EstimatorKind.LTL, True, 2, "LTL takes no r"),
+        ],
+    )
+    def test_spec_validation_messages(self, kind, with_params, r, message):
+        params = ShrinkageParams(k=1.0, d=0.0) if with_params else None
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EstimatorSpec(kind, params=params, r=r)
+
+    def test_kind_table(self):
+        table = {kind: (kind.shrinks, kind.truncates) for kind in EstimatorKind}
+        assert table == {
+            EstimatorKind.ML: (False, False),
+            EstimatorKind.LTL: (True, False),
+            EstimatorKind.PCLR: (False, True),
+            EstimatorKind.PCLTL: (True, True),
+        }
+
+    def test_spec_of_keeps_only_the_inputs_read(self):
+        params = ShrinkageParams(k=1.0, d=0.0)
+        assert [EstimatorSpec.of(kind, params, 2) for kind in EstimatorKind] == [
+            EstimatorSpec(EstimatorKind.ML),
+            EstimatorSpec(EstimatorKind.LTL, params=params),
+            EstimatorSpec(EstimatorKind.PCLR, r=2),
+            EstimatorSpec(EstimatorKind.PCLTL, params=params, r=2),
+        ]
+        with pytest.raises(ValueError, match="^PCLTL requires r$"):
+            EstimatorSpec.of(EstimatorKind.PCLTL, params)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ShrinkageParams(k=0.0, d=0.0)

@@ -7,14 +7,23 @@ from liulogit import (
     Dataset,
     DatasetFormatError,
     EstimatorKind,
+    EstimatorSpec,
+    ShrinkageParams,
     SimulationConfig,
     StudyGrid,
+    asymptotic_msem,
     build_study_tables,
+    irls_fit,
     parse_dataset,
+    psd_dominates,
     render_table_delimited,
     render_table_text,
     run_study,
+    spectral_decompose,
     study_to_json,
+    theorem_3_1_condition,
+    theorem_3_2_condition,
+    theorem_3_3_condition,
     write_dataset,
 )
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -203,6 +212,25 @@ class TestFitCommand:
             main(["fit"])  # --input is required
         assert err.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["fit"], "the following arguments are required: --input"),
+            (["fit", "--input", "x.csv", "--bogus"], "unrecognized arguments: --bogus"),
+            (["simulate", "--reps", "1.5"], "argument --reps: invalid int value: '1.5'"),
+            (["simulate", "--p", "abc"], "argument --p: invalid"),
+            (["compare", "--input", "x.csv", "--format", "xml"],
+             "argument --format: invalid choice: 'xml'"),
+        ],
+    )
+    def test_usage_error_names_its_reason(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("usage error: ") and reason in lines[0]
+
     def test_output_file(self, toy_csv, tmp_path):
         out = tmp_path / "fit.json"
         code = main(["fit", "--input", str(toy_csv), "--format", "json",
@@ -304,6 +332,22 @@ class TestSimulateCommand:
         assert json.loads((out / "study.json").read_text())["master_seed"] == 314
 
 
+COMPARE_COLUMNS = [
+    "pair",
+    "theorem",
+    "condition_value",
+    "condition_holds",
+    "psd_min_eigenvalue",
+    "psd_dominates",
+    "agreement",
+    "smse_challenger",
+    "smse_incumbent",
+    "beta_source",
+]
+
+ALL_PAIRS = [f"{a.value}:{b.value}" for a in EstimatorKind for b in EstimatorKind]
+
+
 class TestCompareCommand:
     def test_smoke_all_fields(self, toy_csv, capsys):
         code = main([
@@ -362,6 +406,71 @@ class TestCompareCommand:
                      "--beta-source", "file"])
         assert code == EXIT_USAGE
         assert "--beta-source file needs --beta-file" in capsys.readouterr().err
+
+    def test_lone_beta_file_rejected_before_reading_data(self, tmp_path, capsys):
+        beta_file = tmp_path / "beta.txt"
+        beta_file.write_text("0.1\n")
+        code = main(["compare", "--input", str(tmp_path / "absent.csv"),
+                     "--beta-file", str(beta_file)])
+        assert code == EXIT_USAGE
+        assert "--beta-file needs --beta-source file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS)
+    def test_every_pair_reads_its_theorem(self, toy_csv, capsys, pair):
+        code = main(["compare", "--input", str(toy_csv), "--pair", pair, "--r", "2",
+                     "--k", "0.9", "--d", "0.2", "--format", "json"])
+        assert code == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["comparisons"]
+
+        data = parse_dataset(toy_csv)
+        fit = irls_fit(data)
+        decomp = spectral_decompose(data.X, fit.v_diag)
+        split, params, beta = decomp.split(2), ShrinkageParams(k=0.9, d=0.2), fit.beta
+        specs = {
+            "ml": EstimatorSpec(EstimatorKind.ML),
+            "ltl": EstimatorSpec(EstimatorKind.LTL, params=params),
+            "pclr": EstimatorSpec(EstimatorKind.PCLR, r=2),
+            "pcltl": EstimatorSpec(EstimatorKind.PCLTL, params=params, r=2),
+        }
+        challenger, incumbent = (
+            asymptotic_msem(specs[name], decomp, beta) for name in pair.split(":")
+        )
+        direct = psd_dominates(incumbent.msem, challenger.msem)
+        assert row["psd_min_eigenvalue"] == direct.condition_value
+        assert row["psd_dominates"] == direct.holds
+        assert (row["smse_challenger"], row["smse_incumbent"]) == (
+            challenger.smse, incumbent.smse,
+        )
+
+        theorems = {
+            "pcltl:ml": lambda: theorem_3_1_condition(beta, decomp, split, params),
+            "pcltl:pclr": lambda: theorem_3_2_condition(beta, split, params),
+            "pcltl:ltl": lambda: theorem_3_3_condition(beta, split, params),
+        }
+        condition = [row[k] for k in ("condition_value", "condition_holds", "agreement")]
+        if pair in theorems:
+            verdict = theorems[pair]()
+            assert row["theorem"] == verdict.theorem
+            assert condition == [
+                verdict.condition_value, verdict.holds, verdict.psd_oracle_agrees
+            ]
+        else:
+            assert row["theorem"] == "direct_psd"
+            assert condition == [None, None, None]
+
+    @pytest.mark.parametrize("fmt, sep", [("tsv", "\t"), ("csv", ",")])
+    def test_delimited_header_and_empty_cells(self, toy_csv, capsys, fmt, sep):
+        code = main(["compare", "--input", str(toy_csv), "--pair", "ltl:ml,pcltl:ml",
+                     "--format", fmt])
+        assert code == EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split(sep) == COMPARE_COLUMNS
+        direct, theorem = (dict(zip(COMPARE_COLUMNS, l.split(sep))) for l in lines)
+        assert (direct["pair"], direct["theorem"]) == ("ltl:ml", "direct_psd")
+        for key in ("condition_value", "condition_holds", "agreement"):
+            assert direct[key] == ""
+            assert theorem[key] != ""
+        assert theorem["theorem"] == "T3_1"
 
     @pytest.mark.parametrize(
         "content, message",

@@ -14,6 +14,7 @@ from liulogit import (
     theorem_3_1_condition,
     theorem_3_2_condition,
     theorem_3_3_condition,
+    theorem_condition,
 )
 
 
@@ -366,6 +367,51 @@ class TestTheorems32And33:
             verdict = theorem_3_3_condition(beta, decomp.split(r), params)
             assert verdict.condition_value > 1e-6
             assert verdict.psd_oracle_agrees
+
+
+    def test_conditions_sufficient_not_necessary(self):
+        # beta has a retained (T3.2) or discarded (T3.3) component, so the
+        # closed form says no, yet the MSEM difference is singular and PSD
+        decomp = SpectralDecomposition(T=np.eye(3), lambdas=np.array([4.0, 2.0, 0.5]))
+        split, params = decomp.split(2), ShrinkageParams(k=1.0, d=0.2)
+        pcltl = pcltl_spec(params, 2)
+        cases = (
+            (theorem_3_2_condition, EstimatorSpec(EstimatorKind.PCLR, r=2), [0.3, 0, 0]),
+            (theorem_3_3_condition, EstimatorSpec(EstimatorKind.LTL, params=params),
+             [0, 0, 0.05]),
+        )
+        for theorem, incumbent, beta in cases:
+            beta = np.array(beta, dtype=float)
+            assert theorem(beta, split, params).holds is False
+            direct = psd_dominates(
+                asymptotic_msem(incumbent, decomp, beta).msem,
+                asymptotic_msem(pcltl, decomp, beta).msem,
+            )
+            assert direct.holds
+            assert direct.condition_value == pytest.approx(0.0, abs=1e-12)
+
+
+class TestTheoremCondition:
+    def test_pair_table(self):
+        rng = np.random.default_rng(52)
+        decomp = random_decomposition(4, rng)
+        split, params = decomp.split(2), ShrinkageParams(k=1.0, d=0.2)
+        beta = rng.standard_normal(4)
+        named = {
+            (EstimatorKind.PCLTL, EstimatorKind.ML): theorem_3_1_condition(
+                beta, decomp, split, params
+            ),
+            (EstimatorKind.PCLTL, EstimatorKind.PCLR): theorem_3_2_condition(
+                beta, split, params
+            ),
+            (EstimatorKind.PCLTL, EstimatorKind.LTL): theorem_3_3_condition(
+                beta, split, params
+            ),
+        }
+        for challenger in EstimatorKind:
+            for incumbent in EstimatorKind:
+                verdict = theorem_condition(challenger, incumbent, beta, split, params)
+                assert verdict == named.get((challenger, incumbent))
 
 
 class TestMsemReductions:
