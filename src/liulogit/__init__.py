@@ -1,168 +1,27 @@
 """Shrinkage and principal-component estimators for binary logistic
 regression under multicollinearity, with asymptotic error-matrix analysis
-and a reproducible Monte Carlo study harness."""
+and a reproducible Monte Carlo study harness.
 
-from .errors import (
-    CellFailedError,
-    DatasetFormatError,
-    DecompositionError,
-    LiulogitError,
-    SingularSystemError,
-)
-from .estimators import (
-    BatchDecomposition,
-    ComponentSplit,
-    EstimatorKind,
-    EstimatorSpec,
-    KSelection,
-    ShrinkageParams,
-    SpectralDecomposition,
-    batch_estimates,
-    choose_d,
-    choose_k,
-    choose_k_batch,
-    filter_factors,
-    ltl_estimate,
-    mle_estimate,
-    pclr_estimate,
-    pcltl_estimate,
-    point_estimate,
-    select_components,
-    spectral_decompose,
-    spectral_decompose_batch,
-)
-from .io import (
-    StudyTable,
-    build_study_tables,
-    parse_dataset,
-    render_table_delimited,
-    render_table_text,
-    study_to_json,
-    write_dataset,
-)
-from .model import (
-    BatchFit,
-    Dataset,
-    FitConfig,
-    LogisticFit,
-    irls_fit,
-    irls_fit_batch,
-    log_likelihood,
-    predict_probabilities,
-    weight_diagonal,
-    working_response,
-)
-from .msem import (
-    DominanceVerdict,
-    MsemReport,
-    asymptotic_msem,
-    pcltl_bias,
-    pcltl_covariance,
-    psd_dominates,
-    smse,
-    theorem_3_1_condition,
-    theorem_3_2_condition,
-    theorem_3_3_condition,
-    theorem_condition,
-)
-from .simulation import (
-    DESIGN_COLUMN_NORM,
-    CellFailure,
-    CellResult,
-    SimulationConfig,
-    StudyGrid,
-    cell_design,
-    components_for_p,
-    derive_cell_seed,
-    generate_design,
-    generate_response,
-    newhouse_oman_beta,
-    ptv_for_p,
-    run_cells,
-    run_study,
-    scale_columns,
-    simulate_cell,
-    study_configs,
-)
+Every name in a module's ``__all__`` is importable from the package; each
+module's list is the only place its public names are written.
+"""
+
+from . import errors, estimators, io, model, msem, simulation
+from .errors import *
+from .estimators import *
+from .io import *
+from .model import *
+from .msem import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "LiulogitError",
-    "SingularSystemError",
-    "DecompositionError",
-    "CellFailedError",
-    "DatasetFormatError",
-    # model
-    "Dataset",
-    "FitConfig",
-    "LogisticFit",
-    "predict_probabilities",
-    "log_likelihood",
-    "weight_diagonal",
-    "working_response",
-    "irls_fit",
-    "BatchFit",
-    "irls_fit_batch",
-    # estimators
-    "SpectralDecomposition",
-    "ComponentSplit",
-    "ShrinkageParams",
-    "EstimatorKind",
-    "EstimatorSpec",
-    "KSelection",
-    "spectral_decompose",
-    "BatchDecomposition",
-    "spectral_decompose_batch",
-    "select_components",
-    "mle_estimate",
-    "ltl_estimate",
-    "pclr_estimate",
-    "pcltl_estimate",
-    "choose_d",
-    "choose_k",
-    "choose_k_batch",
-    "filter_factors",
-    "point_estimate",
-    "batch_estimates",
-    # msem
-    "MsemReport",
-    "DominanceVerdict",
-    "pcltl_bias",
-    "pcltl_covariance",
-    "asymptotic_msem",
-    "smse",
-    "psd_dominates",
-    "theorem_3_1_condition",
-    "theorem_3_2_condition",
-    "theorem_3_3_condition",
-    "theorem_condition",
-    # simulation
-    "SimulationConfig",
-    "CellResult",
-    "CellFailure",
-    "StudyGrid",
-    "DESIGN_COLUMN_NORM",
-    "generate_design",
-    "scale_columns",
-    "newhouse_oman_beta",
-    "generate_response",
-    "cell_design",
-    "components_for_p",
-    "simulate_cell",
-    "study_configs",
-    "run_cells",
-    "run_study",
-    "derive_cell_seed",
-    "ptv_for_p",
-    # io
-    "parse_dataset",
-    "write_dataset",
-    "StudyTable",
-    "build_study_tables",
-    "render_table_text",
-    "render_table_delimited",
-    "study_to_json",
+    *errors.__all__,
+    *model.__all__,
+    *estimators.__all__,
+    *msem.__all__,
+    *simulation.__all__,
+    *io.__all__,
 ]

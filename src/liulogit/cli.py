@@ -75,12 +75,25 @@ def _default_seed() -> int:
         _usage_exit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
+def _csv_values(text: str, convert, noun: str) -> list:
+    # argparse prefixes "argument --flag: ", so the message names the flag
+    try:
+        values = [convert(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected comma-separated {noun}"
+        )
+    return values
+
+
 def _csv_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _csv_values(text, int, "integers")
 
 
 def _csv_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return _csv_values(text, float, "numbers")
 
 
 def _usage_exit(message: str):

@@ -4,6 +4,14 @@ The hierarchy mirrors how failures surface at the command line: usage
 problems, data problems, and numerical problems carry distinct exit codes.
 """
 
+__all__ = [
+    "LiulogitError",
+    "SingularSystemError",
+    "DecompositionError",
+    "CellFailedError",
+    "DatasetFormatError",
+]
+
 
 class LiulogitError(Exception):
     """Base class for all package-specific errors."""

@@ -1,8 +1,8 @@
 """Binary logistic regression model and its IRLS maximum-likelihood fit.
 
 Everything downstream (shrinkage estimators, error-matrix analysis, the
-simulation harness) consumes the weighted cross-products ``X'VX`` and the
-working response produced here, so this module is the single place where
+simulation harness) consumes the fitted coefficients and the Bernoulli
+weights V of ``X'VX`` produced here, so this module is the single place where
 probabilities, Bernoulli weights and the fitting loop are defined.  The
 loop is written once, in ``irls_fit_batch``, for a stack of responses
 that share one design; ``irls_fit`` is its one-row case.
@@ -206,7 +206,7 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
     return LogisticFit(
         beta=batch.beta[0],
         v_diag=batch.v_diag[0],
-        z=batch.z[0],
+        z=working_response(data.X, batch.beta[0], data.y, config.probability_clip),
         iterations=iterations,
         converged=converged,
         final_step_norm=float(batch.final_step_norm[0]),
@@ -219,9 +219,10 @@ class BatchFit:
     """IRLS outcomes for a stack of responses that share one design matrix.
 
     ``irls_fit`` is the one-row case: its ``LogisticFit`` is row 0 of
-    ``irls_fit_batch(X, y[None])``.  Per row: ``beta`` (b, p), ``v_diag``
-    and ``z`` (b, n) at the final iterate, ``iterations``, ``converged``
-    and ``final_step_norm``, the max-norm of the last step taken (of the
+    ``irls_fit_batch(X, y[None])``, plus its working response ``z``, which
+    the batch does not form.  Per row: ``beta`` (b, p) and ``v_diag`` (b, n)
+    at the final iterate, ``iterations``, ``converged`` and
+    ``final_step_norm``, the max-norm of the last step taken (of the
     rejected full step when step-halving failed).  ``loglik_trace``
     (b, max_iterations + 1) holds the log-likelihood at the start and after
     each accepted step, NaN after the row's last entry; a row that
@@ -233,7 +234,6 @@ class BatchFit:
 
     beta: np.ndarray
     v_diag: np.ndarray
-    z: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     singular: np.ndarray
@@ -372,13 +372,10 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         converged[rows[small]] = True
         active = rows[accepted & ~small]
 
-    eta = _stacked_xb(X, beta)
-    pi = np.clip(expit(eta), clip, 1.0 - clip)
-    v = pi * (1.0 - pi)
+    pi = np.clip(expit(_stacked_xb(X, beta)), clip, 1.0 - clip)
     return BatchFit(
         beta=beta,
-        v_diag=v,
-        z=eta + (Y - pi) / v,
+        v_diag=pi * (1.0 - pi),
         iterations=iterations,
         converged=converged,
         singular=singular,

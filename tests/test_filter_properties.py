@@ -149,7 +149,7 @@ def test_batch_rows_equal_point_estimates(rows):
     decomps, betas, ks, ds, rs = zip(*rows)
     b = len(rows)
     fit = BatchFit(
-        beta=np.stack(betas), v_diag=np.full((b, 1), 0.25), z=np.zeros((b, 1)),
+        beta=np.stack(betas), v_diag=np.full((b, 1), 0.25),
         iterations=np.ones(b, dtype=int), converged=np.ones(b, dtype=bool),
         singular=np.zeros(b, dtype=bool), final_step_norm=np.zeros(b),
         loglik_trace=np.zeros((b, 1)),

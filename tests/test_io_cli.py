@@ -231,6 +231,23 @@ class TestFitCommand:
         assert len(lines) == 1
         assert lines[0].startswith("usage error: ") and reason in lines[0]
 
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--p", "abc", "usage error: argument --p: invalid value 'abc': "
+                           "expected comma-separated integers"),
+            ("--rho", "0.9,x", "usage error: argument --rho: invalid value "
+                               "'0.9,x': expected comma-separated numbers"),
+            ("--p", ",", "usage error: argument --p: invalid value ',': "
+                         "expected comma-separated integers"),
+        ],
+    )
+    def test_grid_list_error_names_the_flag(self, capsys, flag, value, line):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", flag, value])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == line + "\n"
+
     def test_output_file(self, toy_csv, tmp_path):
         out = tmp_path / "fit.json"
         code = main(["fit", "--input", str(toy_csv), "--format", "json",

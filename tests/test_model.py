@@ -185,7 +185,6 @@ def assert_fit_matches(fit, want, trace):
     assert fit.converged == want.converged
     assert np.max(np.abs(fit.beta - want.beta)) <= 1e-10
     assert np.max(np.abs(fit.v_diag - want.v_diag)) <= 1e-10
-    np.testing.assert_allclose(fit.z, want.z, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(
         fit.final_step_norm, want.final_step_norm, rtol=1e-10, atol=0
     )
@@ -211,7 +210,9 @@ def assert_batch_matches_scalar(X, Y, config=FitConfig()):
         # the batch evaluates no log-likelihood after a final sub-tolerance step
         batch_trace = want.loglik_trace[:-1] if sub_tolerance_end else want.loglik_trace
         assert_fit_matches(batch.select(i), want, batch_trace)
-        assert_fit_matches(irls_fit(Dataset(X, y), config), want, want.loglik_trace)
+        fit = irls_fit(Dataset(X, y), config)
+        assert_fit_matches(fit, want, want.loglik_trace)
+        np.testing.assert_allclose(fit.z, want.z, rtol=1e-10, atol=1e-10)
     return batch
 
 
@@ -287,7 +288,6 @@ class TestIrlsFitBatch:
         batch = irls_fit_batch(X, bernoulli_rows(X, np.array([0.3, 0.2]), 4, rng))
         picked = batch.select(np.array([3, 1]))
         assert np.array_equal(picked.beta, batch.beta[[3, 1]])
-        assert np.array_equal(picked.z, batch.z[[3, 1]])
         assert np.array_equal(picked.converged, batch.converged[[3, 1]])
 
     def test_rejects_bad_input(self):
