@@ -48,15 +48,17 @@ for kind, report in reports.items():
           f"{np.linalg.norm(report.bias):>12.4f}")
 
 print("\ndominance checks (closed-form condition vs direct eigenvalue test):")
-v31 = theorem_3_1_condition(beta, decomp, split, params)
+v31 = theorem_3_1_condition(beta, split, params)
 print(f"  vs ML   : condition value {v31.condition_value:.4f} <= 1 ? "
       f"{v31.holds}, oracle agrees: {v31.psd_oracle_agrees}")
 v32 = theorem_3_2_condition(beta, split, params)
 print(f"  vs PCLR : ||retained part of beta|| = {v32.condition_value:.4f}, "
-      f"superior iff zero -> {v32.holds}, oracle agrees: {v32.psd_oracle_agrees}")
+      f"zero suffices for superiority -> {v32.holds}, "
+      f"oracle agrees: {v32.psd_oracle_agrees}")
 v33 = theorem_3_3_condition(beta, split, params)
 print(f"  vs LTL  : ||discarded part of beta|| = {v33.condition_value:.4f}, "
-      f"superior iff zero -> {v33.holds}, oracle agrees: {v33.psd_oracle_agrees}")
+      f"zero suffices for superiority -> {v33.holds}, "
+      f"oracle agrees: {v33.psd_oracle_agrees}")
 
 direct = psd_dominates(reports[EstimatorKind.ML].msem,
                        reports[EstimatorKind.PCLTL].msem)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 The environment variable ``LIULOGIT_SEED`` supplies the default seed, and
-``--config FILE`` reads ``key = value`` lines mirroring the long flags
-(explicit flags win).
+``--config FILE`` (or ``--config=FILE``) reads ``key = value`` lines
+mirroring the long flags (explicit flags win).
 """
 
 from __future__ import annotations
@@ -124,10 +124,14 @@ def _load_config_args(path: str) -> list[str]:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    """Replace ``--config FILE`` or ``--config=FILE`` by the file's flags."""
+    flags = [token.partition("=")[0] for token in argv]
+    if "--config" not in flags:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    i = flags.index("--config")
+    # --config=FILE is read as the two tokens --config FILE
+    argv = argv[:i] + argv[i].split("=", 1) + argv[i + 1 :]
+    if i + 1 >= len(argv) or not argv[i + 1]:
         _usage_exit("--config needs a file name")
     config_tokens = _load_config_args(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
@@ -186,7 +190,6 @@ def _add_dataset_args(parser):
     parser.add_argument("--input", required=True)
     parser.add_argument("--response-col", type=int, default=0)
     parser.add_argument("--has-header", action="store_true")
-    parser.add_argument("--config", help=argparse.SUPPRESS)
 
 
 def _add_params_args(parser):
@@ -293,12 +296,6 @@ def _run_simulate(args) -> int:
     ]
 
     tables = build_study_tables(results)
-    text = "\n".join(render_table_text(table) for table in tables)
-    for failure in failures:
-        text += (
-            f"FAILED cell n={failure['n']} p={failure['p']} "
-            f"rho={failure['rho']}: {failure['error']}\n"
-        )
     json_text = study_to_json(results, master_seed=seed, version=__version__, failures=failures)
 
     if out_dir is not None:
@@ -310,7 +307,12 @@ def _run_simulate(args) -> int:
         _write_output(out_dir / "study.json", json_text)
         sys.stdout.write(f"wrote {len(tables)} tables and study.json to {out_dir}\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(render_table_text(table) for table in tables))
+        for failure in failures:
+            sys.stdout.write(
+                f"FAILED cell n={failure['n']} p={failure['p']} "
+                f"rho={failure['rho']}: {failure['error']}\n"
+            )
         sys.stdout.write(json_text)
     return EXIT_OK if not failures else EXIT_NUMERIC
 

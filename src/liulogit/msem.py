@@ -5,12 +5,13 @@ An estimator T diag(g) T' b_ml with filter factors g
 ``T diag(g^2/lambda) T'``, bias ``T diag(g - 1) T' beta`` and error
 matrix ``MSEM = Cov + bias bias'``, whose trace is the scalar MSE.
 Estimator A beats estimator B under the matrix criterion when
-``MSEM(B) - MSEM(A)`` is nonnegative definite; the closed-form dominance
-conditions below are always cross-checked against a direct eigenvalue
-test of that difference, because the two printed scalar conditions and
-the underlying matrix algebra are known to disagree on some inputs (see
-``theorem_3_1_condition``).  ``theorem_condition`` gives the verdict of
-whichever theorem covers a (challenger, incumbent) pair.
+``MSEM(B) - MSEM(A)`` is nonnegative definite.  Every closed-form
+dominance verdict below records a direct eigenvalue test of that
+difference, because the conditions of Theorems 3.2 and 3.3 are
+sufficient, not necessary: a "does not hold" verdict can sit beside a
+difference that is still nonnegative definite.  ``theorem_condition``
+gives the verdict of whichever theorem covers a (challenger, incumbent)
+pair.
 """
 
 from __future__ import annotations
@@ -172,10 +173,12 @@ def _oracle_agreement(holds: bool, msem_incumbent, msem_challenger) -> bool:
     return not psd_dominates(msem_incumbent, msem_challenger, strict=True).holds
 
 
-def _checked_verdict(theorem, value, holds, incumbent, beta, decomp, split, params):
+def _checked_verdict(theorem, value, holds, incumbent, beta, split, params):
     """A closed-form verdict of PCLTL against ``incumbent``, oracle-checked."""
     incumbent_msem, pcltl_msem = (
-        asymptotic_msem(EstimatorSpec.of(kind, params, split.r), decomp, beta).msem
+        asymptotic_msem(
+            EstimatorSpec.of(kind, params, split.r), split.decomposition, beta
+        ).msem
         for kind in (incumbent, EstimatorKind.PCLTL)
     )
     agrees = _oracle_agreement(holds, incumbent_msem, pcltl_msem)
@@ -184,19 +187,16 @@ def _checked_verdict(theorem, value, holds, incumbent, beta, decomp, split, para
 
 def theorem_3_1_condition(
     beta,
-    decomp: SpectralDecomposition,
     split: ComponentSplit,
     params: ShrinkageParams,
-    tail_variant: str = "printed",
 ) -> DominanceVerdict:
     """Scalar condition for PCLTL to beat ML, requiring d < k and d + k > 0.
 
-    The printed condition's discarded-component term weights by the tail
-    eigenvalues; ``tail_variant="inverse"`` weights by their reciprocals
-    instead (the version implied by the intermediate block algebra, which
-    is inconsistent with the printed one).  The direct eigenvalue test of
-    the actual MSEM difference is always computed and its agreement with
-    the scalar condition recorded, so disagreement is observable data.
+    The retained term weights each squared eigen-coordinate of beta by
+    (k+d)^2 / (2(k+d) + (k^2-d^2)/lambda); the discarded term weights by
+    the tail eigenvalues.  The direct eigenvalue test of the actual MSEM
+    difference is always computed and its agreement with the scalar
+    condition recorded, so any disagreement is observable data.
     """
     k, d = params.k, params.d
     if not (d < k and d + k > 0.0):
@@ -207,24 +207,16 @@ def theorem_3_1_condition(
             precondition_ok=False,
         )
     beta = np.asarray(beta, dtype=float)
-    alpha = decomp.T.T @ beta
+    alpha = split.decomposition.T.T @ beta
     alpha_r = alpha[: split.r]
     alpha_tail = alpha[split.r :]
-    lam_r = split.lambdas_r
-    lam_tail = split.lambdas_tail
-
     retained = np.sum(
-        (k + d) ** 2 * alpha_r**2 / (2.0 * (k + d) + (k**2 - d**2) / lam_r)
+        (k + d) ** 2 * alpha_r**2 / (2.0 * (k + d) + (k**2 - d**2) / split.lambdas_r)
     )
-    if tail_variant == "printed":
-        discarded = np.sum(lam_tail * alpha_tail**2)
-    elif tail_variant == "inverse":
-        discarded = np.sum(alpha_tail**2 / lam_tail)
-    else:
-        raise ValueError(f"unknown tail_variant {tail_variant!r}")
+    discarded = np.sum(split.lambdas_tail * alpha_tail**2)
     value = float(retained + discarded)
     return _checked_verdict(
-        "T3_1", value, value <= 1.0, EstimatorKind.ML, beta, decomp, split, params
+        "T3_1", value, value <= 1.0, EstimatorKind.ML, beta, split, params
     )
 
 
@@ -247,8 +239,7 @@ def theorem_3_2_condition(
     beta = np.asarray(beta, dtype=float)
     value = float(np.max(np.abs(split.t_r.T @ beta)))
     return _checked_verdict(
-        "T3_2", value, value <= ZERO_TOL, EstimatorKind.PCLR,
-        beta, split.decomposition, split, params,
+        "T3_2", value, value <= ZERO_TOL, EstimatorKind.PCLR, beta, split, params
     )
 
 
@@ -267,8 +258,7 @@ def theorem_3_3_condition(
     tail = split.t_tail.T @ beta
     value = float(np.max(np.abs(tail))) if tail.size else 0.0
     return _checked_verdict(
-        "T3_3", value, value <= ZERO_TOL, EstimatorKind.LTL,
-        beta, split.decomposition, split, params,
+        "T3_3", value, value <= ZERO_TOL, EstimatorKind.LTL, beta, split, params
     )
 
 
@@ -277,7 +267,7 @@ def theorem_3_3_condition(
 # bound to that name (as span tracing binds one) sees the call.
 _PAIR_THEOREMS = {
     (EstimatorKind.PCLTL, EstimatorKind.ML): lambda beta, split, params: (
-        theorem_3_1_condition(beta, split.decomposition, split, params)
+        theorem_3_1_condition(beta, split, params)
     ),
     (EstimatorKind.PCLTL, EstimatorKind.PCLR): lambda beta, split, params: (
         theorem_3_2_condition(beta, split, params)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -32,7 +32,7 @@ from .estimators import (
     select_components,
     spectral_decompose_batch,
 )
-from .model import FitConfig, irls_fit_batch
+from .model import irls_fit_batch
 
 __all__ = [
     "SimulationConfig",
@@ -76,7 +76,6 @@ class SimulationConfig:
     replications: int = 2000
     seed: int = 0
     ptv_threshold: float = 0.75
-    fit: FitConfig = field(default_factory=FitConfig)
     design_scaling: str = "fixed_norm"
     min_components: int = 2
     components: int | None = None
@@ -262,7 +261,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     for start in range(0, config.replications, REPLICATION_BLOCK):
         size = min(REPLICATION_BLOCK, config.replications - start)
         Y = (rng.random((size, config.n)) < pi).astype(float)
-        fit = irls_fit_batch(X, Y, config.fit)
+        fit = irls_fit_batch(X, Y)
         fit = fit.select(fit.converged)
         decomp = spectral_decompose_batch(X, fit.v_diag)
         kept = decomp.positive_definite
@@ -335,13 +334,13 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
 def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationConfig]:
     """Expand a grid into per-cell configs with derived seeds and PTV rules.
 
-    ``base`` supplies replications, fit settings and the design-scaling
-    convention; its seed acts as the study's master seed.  Cells are
-    ordered p-major, then n, then rho, matching the reference table layout.
-    Under the fixed-norm convention each cell pins the rho-stable component
-    count from ``components_for_p``; the raw mode leaves selection to the
-    per-replication share rule.  An explicit ``base.components`` overrides
-    both.
+    ``base`` supplies replications, the component settings and the
+    design-scaling convention; its seed acts as the study's master seed.
+    Cells are ordered p-major, then n, then rho, matching the reference
+    table layout.  Under the fixed-norm convention each cell pins the
+    rho-stable component count from ``components_for_p``; the raw mode
+    leaves selection to the per-replication share rule.  An explicit
+    ``base.components`` overrides both.
     """
     configs = []
     index = 0

@@ -232,7 +232,7 @@ def test_criterion_6_theorem_vs_oracle():
         params = random_theorem_params(rng)
         beta = rng.standard_normal(p) * rng.uniform(0.2, 2.0)
 
-        v31 = theorem_3_1_condition(beta, decomp, split, params)
+        v31 = theorem_3_1_condition(beta, split, params)
         t31_agree.append(v31.psd_oracle_agrees)
 
         v32 = theorem_3_2_condition(beta, split, params)

@@ -248,6 +248,65 @@ class TestFitCommand:
         assert err.value.code == EXIT_USAGE
         assert capsys.readouterr().err == line + "\n"
 
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    def test_delimited_rows_match_json(self, toy_csv, capsys, fmt, sep):
+        assert main(["fit", "--input", str(toy_csv), "--format", "json"]) == EXIT_OK
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        assert main(["fit", "--input", str(toy_csv), "--format", fmt]) == EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == sep.join(("estimator", "coefficient_index", "value"))
+        # json sorts the estimator names; the rows keep --estimators order
+        rows = sorted(line.split(sep) for line in lines)
+        assert rows == sorted(
+            [name, str(i), repr(value)]
+            for name, values in coefficients.items()
+            for i, value in enumerate(values)
+        )
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # an exact copy of x2 makes X'VX singular at the first step
+            (lambda X, y: (X[:, [0, 1, 1]], y),
+             "numerical failure: X'VX singular or IRLS step non-finite "
+             "at iteration 1"),
+            # y = 1[x1 > 0] is completely separated: the ML estimate diverges
+            (lambda X, y: (X, (X[:, 0] > 0).astype(float)),
+             "numerical failure: IRLS did not converge in 100 iterations"),
+        ],
+    )
+    def test_numerical_failure_exit_code(self, toy_csv, tmp_path, capsys,
+                                         make, message):
+        data = parse_dataset(toy_csv)
+        X, y = make(data.X, data.y)
+        path = tmp_path / "failing.csv"
+        write_dataset(Dataset(X=X, y=y), path, header=False)
+        assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
+
+    def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
+        assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "invalid arguments: r must lie in [1, 3]\n"
+
+    @pytest.mark.parametrize(
+        "content, extra, message",
+        [
+            ("", [], "no data rows in {path}"),
+            ("1\n0\n1\n", [], "line 1: need at least 2 columns, got 1"),
+            ("1,0.5,0.2\n0,0.1,0.3\n", ["--response-col", "3"],
+             "response column 3 out of range"),
+        ],
+    )
+    def test_unreadable_layout_is_data_error(self, tmp_path, capsys,
+                                            content, extra, message):
+        path = tmp_path / "layout.csv"
+        path.write_text(content)
+        assert main(["fit", "--input", str(path), *extra]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " + message.format(path=path))
+        assert len(err.splitlines()) == 1
+
     def test_output_file(self, toy_csv, tmp_path):
         out = tmp_path / "fit.json"
         code = main(["fit", "--input", str(toy_csv), "--format", "json",
@@ -321,6 +380,35 @@ class TestSimulateCommand:
         assert (failure["n"], failure["p"], failure["rho"]) == (3, 2, 0.6)
         assert "all 4 replications diverged" in failure["error"]
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
+    def test_stdout_ends_with_study_json(self, tmp_path, capsys):
+        args = ["simulate", "--p", "3", "--n", "80", "--rho", "0.8,0.9",
+                "--reps", "5", "--seed", "2"]
+        assert main(args) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "MLE" in stdout
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+        study = (tmp_path / "study.json").read_text()
+        assert stdout.splitlines()[-1] + "\n" == study
+
+    @pytest.mark.parametrize(
+        "extra, components, ptv",
+        [
+            # raw scaling leaves the count to the share rule, with its per-p PTV
+            (["--design-scaling", "raw", "--min-components", "1"],
+             [None, None], [0.75, 0.83]),
+            # an explicit count pins every cell
+            (["--components", "2"], [2, 2], [0.75, 0.83]),
+        ],
+    )
+    def test_component_settings_reach_every_cell(self, tmp_path, extra,
+                                                 components, ptv):
+        code = main(["simulate", "--p", "4,6", "--n", "100", "--rho", "0.8",
+                     "--reps", "5", "--seed", "4", "--out", str(tmp_path), *extra])
+        assert code == EXIT_OK
+        cells = json.loads((tmp_path / "study.json").read_text())["cells"]
+        assert [cell["components"] for cell in cells] == components
+        assert [cell["ptv_threshold"] for cell in cells] == ptv
 
     def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -460,7 +548,7 @@ class TestCompareCommand:
         )
 
         theorems = {
-            "pcltl:ml": lambda: theorem_3_1_condition(beta, decomp, split, params),
+            "pcltl:ml": lambda: theorem_3_1_condition(beta, split, params),
             "pcltl:pclr": lambda: theorem_3_2_condition(beta, split, params),
             "pcltl:ltl": lambda: theorem_3_3_condition(beta, split, params),
         }
@@ -550,3 +638,44 @@ class TestConfigFile:
             main(["fit", "--config", str(cfg)])
         assert err.value.code == EXIT_USAGE
         assert "line 2: expected key = value" in capsys.readouterr().err
+
+    def test_equals_form_applies_the_file(self, toy_csv, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {toy_csv}\nk = 0.9\nformat = json\n")
+        assert main(["fit", f"--config={cfg}"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["k"], report["k_source"]) == (0.9, "user")
+
+    def test_true_value_becomes_a_bare_switch(self, toy_csv, tmp_path, capsys):
+        with_header = tmp_path / "header.csv"
+        with_header.write_text("y,x1,x2,x3\n" + toy_csv.read_text())
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {with_header}\nformat = json\n")
+        # the header line is data to a parse without --has-header
+        assert main(["fit", "--config", str(cfg)]) == EXIT_DATA
+        capsys.readouterr()
+        cfg.write_text(cfg.read_text() + "has_header = true\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert main(["fit", "--input", str(toy_csv), "--format", "json"]) == EXIT_OK
+        assert from_file == capsys.readouterr().out
+
+    def test_empty_equals_form_is_usage_error(self, toy_csv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--input", str(toy_csv), "--config="])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --config needs a file name\n"
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "simulate"])
+    def test_abbreviation_is_unrecognised(self, toy_csv, tmp_path, capsys, command):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("k = 0.9\n")
+        argv = [command, "--conf", str(cfg)]
+        if command != "simulate":
+            argv += ["--input", str(toy_csv)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: unrecognized arguments: --conf {cfg}\n"
+        )

@@ -247,9 +247,7 @@ class TestTheorem31:
         rng = np.random.default_rng(41)
         decomp = random_decomposition(4, rng)
         params = ShrinkageParams(k=1.0, d=0.2)
-        verdict = theorem_3_1_condition(
-            np.zeros(4), decomp, decomp.split(2), params
-        )
+        verdict = theorem_3_1_condition(np.zeros(4), decomp.split(2), params)
         assert verdict.holds
         assert verdict.condition_value == pytest.approx(0.0)
         assert verdict.psd_oracle_agrees
@@ -258,9 +256,7 @@ class TestTheorem31:
         rng = np.random.default_rng(42)
         decomp = random_decomposition(3, rng)
         params = ShrinkageParams(k=0.1, d=0.5)  # d >= k
-        verdict = theorem_3_1_condition(
-            np.ones(3), decomp, decomp.split(2), params
-        )
+        verdict = theorem_3_1_condition(np.ones(3), decomp.split(2), params)
         assert not verdict.precondition_ok
         assert verdict.holds is None
 
@@ -271,10 +267,10 @@ class TestTheorem31:
         params = ShrinkageParams(k=0.8, d=0.3)
         split = decomp.split(2)
         beta = rng.standard_normal(4)
-        base = theorem_3_1_condition(beta, decomp, split, params).condition_value
+        base = theorem_3_1_condition(beta, split, params).condition_value
         # back off one part in 1e9 so roundoff cannot flip the <= comparison
         scaled = beta / np.sqrt(base) * (1.0 - 1e-9)
-        verdict = theorem_3_1_condition(scaled, decomp, split, params)
+        verdict = theorem_3_1_condition(scaled, split, params)
         assert verdict.condition_value == pytest.approx(1.0, abs=1e-8)
         assert verdict.holds
 
@@ -287,22 +283,11 @@ class TestTheorem31:
             params = random_params(rng)
             r = int(rng.integers(1, p + 1))
             beta = rng.standard_normal(p) * rng.uniform(0.1, 2.0)
-            verdict = theorem_3_1_condition(beta, decomp, decomp.split(r), params)
+            verdict = theorem_3_1_condition(beta, decomp.split(r), params)
             agreements.append(verdict.psd_oracle_agrees)
         # the printed condition matches the direct derivation, so near-total
         # agreement is expected; boundary roundoff may shave isolated cases
         assert np.mean(agreements) > 0.95
-
-    def test_inverse_tail_variant_exists_and_differs(self):
-        rng = np.random.default_rng(45)
-        decomp = random_decomposition(3, rng)
-        params = ShrinkageParams(k=1.0, d=0.2)
-        beta = np.array([0.3, 0.2, 0.5])
-        printed = theorem_3_1_condition(beta, decomp, decomp.split(1), params)
-        inverse = theorem_3_1_condition(
-            beta, decomp, decomp.split(1), params, tail_variant="inverse"
-        )
-        assert printed.condition_value != pytest.approx(inverse.condition_value)
 
 
 class TestTheorems32And33:
@@ -399,7 +384,7 @@ class TestTheoremCondition:
         beta = rng.standard_normal(4)
         named = {
             (EstimatorKind.PCLTL, EstimatorKind.ML): theorem_3_1_condition(
-                beta, decomp, split, params
+                beta, split, params
             ),
             (EstimatorKind.PCLTL, EstimatorKind.PCLR): theorem_3_2_condition(
                 beta, split, params

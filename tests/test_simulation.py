@@ -9,6 +9,7 @@ from liulogit import (
     DecompositionError,
     EstimatorKind,
     EstimatorSpec,
+    FitConfig,
     ShrinkageParams,
     SimulationConfig,
     SingularSystemError,
@@ -70,7 +71,7 @@ def reference_cell(config, keep_estimates=False):
     for _ in range(config.replications):
         y = generate_response(X, beta, rng)
         try:
-            fit, _ = scalar_irls(X, y, config.fit)
+            fit, _ = scalar_irls(X, y, FitConfig())
         except SingularSystemError:
             divergent += 1
             continue
