@@ -1,9 +1,13 @@
 """Command-line interface: fit, simulate, compare.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-The environment variable ``LIULOGIT_SEED`` supplies the default seed, and
-``--config FILE`` (or ``--config=FILE``) reads ``key = value`` lines
-mirroring the long flags (explicit flags win).
+``main(argv)`` returns the exit code: 0 success, 1 usage error, 2 data
+error, 3 numerical failure. Each error is one line on stderr; failed
+``simulate`` cells are listed with the results instead. The comma lists (--estimators, --pair, --p, --n, --rho) are checked while
+the arguments are parsed, and empty tokens are skipped. The environment
+variable ``LIULOGIT_SEED`` supplies the default seed, and ``--config FILE``
+(or ``--config=FILE``) reads ``key = value`` lines mirroring the long
+flags (explicit flags win); a switch such as ``has_header`` takes true,
+yes, false or no.
 """
 
 from __future__ import annotations
@@ -60,70 +64,93 @@ SEED_ENV_VAR = "LIULOGIT_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1
+    # argparse exits 2 on usage errors by default; main reports them as 1
     def error(self, message):
-        _usage_exit(message)
+        raise ValueError(message)
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 20240817
+    raw = os.environ.get(SEED_ENV_VAR, "20240817")
     try:
         return int(raw)
     except ValueError:
-        _usage_exit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _csv_values(text: str, convert, noun: str) -> list:
-    # argparse prefixes "argument --flag: ", so the message names the flag
+def _csv_values(convert, noun: str):
+    """An argparse type for a comma list of ``noun``; empty tokens are skipped.
+
+    argparse prefixes "argument --flag: ", so every message names the flag.
+    ``convert`` may raise ``ArgumentTypeError`` to name the bad token itself.
+    """
+
+    def parse(text: str) -> list:
+        tokens = [token.strip() for token in text.split(",")]
+        try:
+            values = [convert(token) for token in tokens if token]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected comma-separated {noun}"
+            )
+        return values
+
+    return parse
+
+
+def _estimator_kind(name: str, token: str | None = None) -> EstimatorKind:
+    """The estimator ``name``; an unknown one is reported as ``token``."""
     try:
-        values = [convert(part) for part in text.split(",") if part]
+        return EstimatorKind(name)
     except ValueError:
-        values = []
-    if not values:
+        choices = ", ".join(kind.value for kind in EstimatorKind)
         raise argparse.ArgumentTypeError(
-            f"invalid value {text!r}: expected comma-separated {noun}"
+            f"token {token or name!r} names an unknown estimator (choose from {choices})"
+        ) from None
+
+
+def _estimator_pair(token: str) -> tuple[EstimatorKind, EstimatorKind]:
+    """One ``challenger:incumbent`` token of --pair."""
+    left, colon, right = token.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(
+            f"token {token!r} is not of the form challenger:incumbent"
         )
-    return values
+    return _estimator_kind(left, token), _estimator_kind(right, token)
 
 
-def _csv_ints(text: str) -> list[int]:
-    return _csv_values(text, int, "integers")
-
-
-def _csv_floats(text: str) -> list[float]:
-    return _csv_values(text, float, "numbers")
-
-
-def _usage_exit(message: str):
-    sys.stderr.write(f"usage error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _load_config_args(path: str) -> list[str]:
-    """Turn 'key = value' lines into flag tokens prepended before CLI flags."""
+def _load_config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """Turn 'key = value' lines into flag tokens for ``command``'s parser."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        _usage_exit(f"cannot read config file {path}: {exc.strerror or exc}")
+        raise ValueError(
+            f"cannot read config file {path}: {exc.strerror or exc}"
+        ) from None
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            _usage_exit(f"config file {path}, line {lineno}: expected key = value")
+            raise ValueError(f"config file {path}, line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "yes"):
-            tokens.append(flag)
-        else:
+        action = command._option_string_actions.get(flag)
+        if action is None or action.nargs != 0:
             tokens.extend([flag, value])
+        elif value.lower() in ("true", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("false", "no"):
+            raise ValueError(
+                f"config file {path}, line {lineno}: {key} takes true, yes, "
+                f"false or no, got {value!r}"
+            )
     return tokens
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
     """Replace ``--config FILE`` or ``--config=FILE`` by the file's flags."""
     flags = [token.partition("=")[0] for token in argv]
     if "--config" not in flags:
@@ -132,9 +159,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     # --config=FILE is read as the two tokens --config FILE
     argv = argv[:i] + argv[i].split("=", 1) + argv[i + 1 :]
     if i + 1 >= len(argv) or not argv[i + 1]:
-        _usage_exit("--config needs a file name")
-    config_tokens = _load_config_args(argv[i + 1])
+        raise ValueError("--config needs a file name")
     rest = argv[:i] + argv[i + 2 :]
+    # a switch (has_header = true) is known from the subcommand's parser
+    command = parser.commands.get(rest[0], parser) if rest else parser
+    config_tokens = _load_config_args(argv[i + 1], command)
     # config tokens go first so explicit flags override them
     return [rest[0], *config_tokens, *rest[1:]] if rest else config_tokens
 
@@ -143,11 +172,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="liulogit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     fit = sub.add_parser("fit", help="fit estimators to a CSV dataset")
     _add_dataset_args(fit)
     fit.add_argument(
         "--estimators",
+        type=_csv_values(_estimator_kind, "estimators"),
         default="ml,ltl,pclr,pcltl",
         help="comma list from ml,ltl,pclr,pcltl",
     )
@@ -157,9 +188,10 @@ def build_parser() -> _Parser:
     fit.add_argument("--output", default=None)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study grid")
-    sim.add_argument("--p", type=_csv_ints, default=[4, 6, 8, 12])
-    sim.add_argument("--n", type=_csv_ints, default=[200, 500, 1000])
-    sim.add_argument("--rho", type=_csv_floats, default=[0.8, 0.9, 0.99, 0.999])
+    integers, numbers = _csv_values(int, "integers"), _csv_values(float, "numbers")
+    sim.add_argument("--p", type=integers, default=[4, 6, 8, 12])
+    sim.add_argument("--n", type=integers, default=[200, 500, 1000])
+    sim.add_argument("--rho", type=numbers, default=[0.8, 0.9, 0.99, 0.999])
     sim.add_argument("--reps", type=int, default=2000)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default=None, help="directory for tables and JSON")
@@ -174,6 +206,7 @@ def build_parser() -> _Parser:
     _add_dataset_args(comp)
     comp.add_argument(
         "--pair",
+        type=_csv_values(_estimator_pair, "challenger:incumbent pairs"),
         default="pcltl:ml",
         help="comma list of comparisons, e.g. pcltl:ml,pcltl:pclr",
     )
@@ -227,13 +260,12 @@ def _fit_pipeline(args):
 
 
 def _run_fit(args) -> int:
-    kinds = _parse_estimators(args.estimators)
     dataset, fit, decomp, r, params, clamped = _fit_pipeline(args)
     coefficients = {
         kind.value: point_estimate(
             fit, dataset.X, EstimatorSpec.of(kind, params, r), decomp
         ).tolist()
-        for kind in kinds
+        for kind in args.estimators
     }
     lambdas = decomp.lambdas
     report = {
@@ -317,44 +349,6 @@ def _run_simulate(args) -> int:
     return EXIT_OK if not failures else EXIT_NUMERIC
 
 
-def _estimator_kind(option: str, token: str, name: str) -> EstimatorKind:
-    """The estimator ``name`` read from one token of ``option``."""
-    try:
-        return EstimatorKind(name)
-    except ValueError:
-        choices = ", ".join(kind.value for kind in EstimatorKind)
-        raise ValueError(
-            f"{option} token {token!r} names an unknown estimator "
-            f"(choose from {choices})"
-        ) from None
-
-
-def _parse_estimators(text: str) -> list[EstimatorKind]:
-    """Split the --estimators comma list into estimator kinds."""
-    tokens = [part.strip() for part in text.split(",") if part.strip()]
-    if not tokens:
-        raise ValueError("--estimators names no estimator")
-    return [_estimator_kind("--estimators", token, token) for token in tokens]
-
-
-def _parse_pairs(text: str) -> list[tuple[EstimatorKind, EstimatorKind]]:
-    """Split 'challenger:incumbent,...' into estimator pairs, naming bad tokens."""
-    pairs = []
-    for token in text.split(","):
-        left, colon, right = token.strip().partition(":")
-        if not colon:
-            raise ValueError(
-                f"--pair token {token!r} is not of the form challenger:incumbent"
-            )
-        pairs.append(
-            (
-                _estimator_kind("--pair", token, left),
-                _estimator_kind("--pair", token, right),
-            )
-        )
-    return pairs
-
-
 def _read_beta_file(path: str) -> np.ndarray:
     """Coefficients from a whitespace-separated text file."""
     try:
@@ -374,7 +368,6 @@ def _read_beta_file(path: str) -> np.ndarray:
 
 
 def _run_compare(args) -> int:
-    comparisons = _parse_pairs(args.pair)
     beta = None
     if args.beta_source == "file":
         if not args.beta_file:
@@ -394,7 +387,7 @@ def _run_compare(args) -> int:
         beta_source = "true_beta"
 
     rows = []
-    for challenger, incumbent in comparisons:
+    for challenger, incumbent in args.pair:
         verdict = theorem_condition(challenger, incumbent, beta, split, params)
         challenger_report, incumbent_report = (
             asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta, beta_source)
@@ -451,11 +444,14 @@ def _write_output(path, text: str):
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    Only ``--help`` and ``--version`` leave through argparse's ``SystemExit(0)``.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(_apply_config_file(argv, parser))
         if args.command == "fit":
             return _run_fit(args)
         if args.command == "simulate":
@@ -468,7 +464,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
     except ValueError as exc:
-        sys.stderr.write(f"invalid arguments: {exc}\n")
+        sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
 
 

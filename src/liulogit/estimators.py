@@ -394,14 +394,12 @@ def choose_k_batch(lambdas, alpha_hat, d) -> KSelection:
     return KSelection(np.where(clamped, K_MIN, k), clamped)
 
 
-def batch_estimates(
-    fit: BatchFit, X, decomp: BatchDecomposition, r, k, d
-) -> dict:
+def batch_estimates(fit: BatchFit, decomp: BatchDecomposition, r, k, d) -> dict:
     """The four estimators for a stack of converged fits, row by row.
 
     Row i is ``point_estimate`` for that row's fit and eigendecomposition,
-    component count ``r[i]`` and parameters ``k[i]``, ``d[i]``.  ``X`` is
-    not read: ``decomp`` already carries every X'VX.
+    component count ``r[i]`` and parameters ``k[i]``, ``d[i]``; ``decomp``
+    already carries every X'VX, so no design matrix is needed.
     """
     return {
         kind: _apply_filter(

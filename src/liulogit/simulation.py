@@ -286,7 +286,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         d = choose_d(lam)
         k = choose_k_batch(lam, alpha, d).value
 
-        estimates = batch_estimates(fit, X, decomp, r, k, d)
+        estimates = batch_estimates(fit, decomp, r, k, d)
         for kind, estimate in estimates.items():
             sums[kind] += float(np.sum((estimate - beta) ** 2))
             if keep_estimates:
@@ -404,7 +404,9 @@ def run_cells(
     A failed cell yields a ``CellFailure`` in its place instead of stopping
     the run.
     """
-    if workers is None or workers <= 1:
+    # a forked pool starts all its workers at once: no more than there are cells
+    workers = min(workers or 1, len(configs))
+    if workers <= 1:
         return [_cell_outcome(config) for config in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_cell_outcome, configs))

@@ -443,7 +443,7 @@ class TestBatchedSpectralCore:
         r = np.arange(10) % 6 + 1
         k = np.linspace(0.05, 3.0, 10)
         d = np.linspace(-0.2, 0.4, 10)
-        estimates = batch_estimates(fit, X, decomp, r, k, d)
+        estimates = batch_estimates(fit, decomp, r, k, d)
         for i in range(10):
             single = spectral_decompose(X, fit.v_diag[i])
             split = single.split(int(r[i]))

@@ -159,8 +159,7 @@ def test_batch_rows_equal_point_estimates(rows):
         lambdas=np.stack([dec.lambdas for dec in decomps]),
         positive_definite=np.ones(b, dtype=bool),
     )
-    estimates = batch_estimates(fit, None, decomp, np.array(rs), np.array(ks),
-                                np.array(ds))
+    estimates = batch_estimates(fit, decomp, np.array(rs), np.array(ks), np.array(ds))
     for i in range(b):
         for spec in specs(ShrinkageParams(k=ks[i], d=ds[i]), rs[i]):
             expected = point_estimate(fit_at(betas[i]), None, spec, decomps[i])

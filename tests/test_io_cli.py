@@ -208,9 +208,7 @@ class TestFitCommand:
         assert "2 data rows for 3 covariates" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as err:
-            main(["fit"])  # --input is required
-        assert err.value.code == EXIT_USAGE
+        assert main(["fit"]) == EXIT_USAGE  # --input is required
 
     @pytest.mark.parametrize(
         "argv, reason",
@@ -221,15 +219,31 @@ class TestFitCommand:
             (["simulate", "--p", "abc"], "argument --p: invalid"),
             (["compare", "--input", "x.csv", "--format", "xml"],
              "argument --format: invalid choice: 'xml'"),
+            (["fit", "--input", "x.csv", "--estimators", "ml,foo"],
+             "argument --estimators: token 'foo' names an unknown estimator "
+             "(choose from ml, ltl, pclr, pcltl)"),
+            (["compare", "--input", "x.csv", "--pair", "pcltl:bogus"],
+             "argument --pair: token 'pcltl:bogus' names an unknown estimator "
+             "(choose from ml, ltl, pclr, pcltl)"),
+            # a leading NAME=value sets the environment, as in a shell
+            (["LIULOGIT_SEED=x", "simulate", "--p", "3", "--n", "80", "--reps", "5"],
+             "LIULOGIT_SEED must be an integer, got 'x'"),
+            (["fit", "--config", "{tmp}/absent.cfg"],
+             "cannot read config file {tmp}/absent.cfg: No such file or directory"),
+            (["fit", "--input", "{csv}", "--r", "0"], "r must lie in [1, 3]"),
         ],
     )
-    def test_usage_error_names_its_reason(self, capsys, argv, reason):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == EXIT_USAGE
+    def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
+                                          capsys, argv, reason):
+        places = {"tmp": tmp_path, "csv": toy_csv}
+        argv = [token.format(**places) for token in argv]
+        while "=" in argv[0]:
+            monkeypatch.setenv(*argv.pop(0).split("=", 1))
+        assert main(argv) == EXIT_USAGE
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("usage error: ") and reason in lines[0]
+        assert lines[0].startswith("usage error: ")
+        assert reason.format(**places) in lines[0]
 
     @pytest.mark.parametrize(
         "flag, value, line",
@@ -243,9 +257,7 @@ class TestFitCommand:
         ],
     )
     def test_grid_list_error_names_the_flag(self, capsys, flag, value, line):
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", flag, value])
-        assert err.value.code == EXIT_USAGE
+        assert main(["simulate", flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err == line + "\n"
 
     @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
@@ -287,7 +299,7 @@ class TestFitCommand:
 
     def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
         assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "invalid arguments: r must lie in [1, 3]\n"
+        assert capsys.readouterr().err == "usage error: r must lie in [1, 3]\n"
 
     @pytest.mark.parametrize(
         "content, extra, message",
@@ -317,10 +329,12 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "estimators, message",
         [
-            ("ml,foo", "--estimators token 'foo' names an unknown estimator "
+            ("ml,foo", "--estimators: token 'foo' names an unknown estimator "
                        "(choose from ml, ltl, pclr, pcltl)"),
-            ("", "--estimators names no estimator"),
-            (" , ", "--estimators names no estimator"),
+            ("", "--estimators: invalid value '': expected comma-separated "
+                 "estimators"),
+            (" , ", "--estimators: invalid value ' , ': expected comma-separated "
+                    "estimators"),
         ],
     )
     def test_bad_estimators_rejected_before_reading_data(
@@ -423,9 +437,8 @@ class TestSimulateCommand:
 
     def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LIULOGIT_SEED", "12x")
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--p", "3", "--n", "80", "--rho", "0.8", "--reps", "5"])
-        assert err.value.code == EXIT_USAGE
+        code = main(["simulate", "--p", "3", "--n", "80", "--rho", "0.8", "--reps", "5"])
+        assert code == EXIT_USAGE
         assert "LIULOGIT_SEED must be an integer, got '12x'" in capsys.readouterr().err
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
@@ -505,6 +518,13 @@ class TestCompareCommand:
         code = main(["compare", "--input", str(tmp_path / "absent.csv"), "--pair", pair])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_empty_pair_tokens_are_skipped(self, toy_csv, capsys):
+        args = ["compare", "--input", str(toy_csv), "--pair"]
+        assert main(args + ["pcltl:ml"]) == EXIT_OK
+        single = capsys.readouterr().out
+        assert main(args + ["pcltl:ml,"]) == EXIT_OK
+        assert capsys.readouterr().out == single
 
     def test_beta_file_required_before_reading_data(self, tmp_path, capsys):
         code = main(["compare", "--input", str(tmp_path / "absent.csv"),
@@ -619,24 +639,18 @@ class TestConfigFile:
         assert report["k_source"] == "user"
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["fit", "--config", str(tmp_path / "absent.cfg")])
-        assert err.value.code == EXIT_USAGE
+        assert main(["fit", "--config", str(tmp_path / "absent.cfg")]) == EXIT_USAGE
         message = capsys.readouterr().err
         assert "cannot read config file" in message and "absent.cfg" in message
 
     def test_trailing_config_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["fit", "--config"])
-        assert err.value.code == EXIT_USAGE
+        assert main(["fit", "--config"]) == EXIT_USAGE
         assert "--config needs a file name" in capsys.readouterr().err
 
     def test_malformed_config_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("# comment\ninput data.csv\n")
-        with pytest.raises(SystemExit) as err:
-            main(["fit", "--config", str(cfg)])
-        assert err.value.code == EXIT_USAGE
+        assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
         assert "line 2: expected key = value" in capsys.readouterr().err
 
     def test_equals_form_applies_the_file(self, toy_csv, tmp_path, capsys):
@@ -660,10 +674,29 @@ class TestConfigFile:
         assert main(["fit", "--input", str(toy_csv), "--format", "json"]) == EXIT_OK
         assert from_file == capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["false", "no", "No"])
+    def test_false_value_leaves_the_switch_off(self, toy_csv, tmp_path, capsys,
+                                               value):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {toy_csv}\nformat = json\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        without_line = capsys.readouterr().out
+        cfg.write_text(cfg.read_text() + f"has_header = {value}\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == without_line
+
+    def test_other_switch_value_names_file_line_and_key(self, toy_csv, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {toy_csv}\nhas_header = maybe\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: config file {cfg}, line 2: has_header takes true, "
+            "yes, false or no, got 'maybe'\n"
+        )
+
     def test_empty_equals_form_is_usage_error(self, toy_csv, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["fit", "--input", str(toy_csv), "--config="])
-        assert err.value.code == EXIT_USAGE
+        assert main(["fit", "--input", str(toy_csv), "--config="]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: --config needs a file name\n"
 
     @pytest.mark.parametrize("command", ["fit", "compare", "simulate"])
@@ -673,9 +706,7 @@ class TestConfigFile:
         argv = [command, "--conf", str(cfg)]
         if command != "simulate":
             argv += ["--input", str(toy_csv)]
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"usage error: unrecognized arguments: --conf {cfg}\n"
         )

@@ -33,6 +33,7 @@ from liulogit import (
     simulate_cell,
     study_configs,
 )
+from liulogit import simulation
 from liulogit.simulation import (
     ESTIMATOR_ORDER,
     REPLICATION_BLOCK,
@@ -387,6 +388,31 @@ class TestRunCells:
         assert serial[1].to_dict() == {
             "n": 3, "p": 2, "rho": 0.6, "error": serial[1].error,
         }
+
+    @pytest.mark.parametrize("cells, pool_size", [(2, 2), (1, None)])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, cells,
+                                                  pool_size):
+        started = []
+
+        class StandIn:
+            # records the pool size and runs the cells in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", StandIn)
+        configs = study_configs(self.GRID, self.BASE)[:cells]
+        outcomes = run_cells(configs, workers=5000)
+        assert started == ([] if pool_size is None else [pool_size])
+        assert outcomes == run_cells(configs)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_study_raises_with_coordinates(self, workers):
