@@ -31,10 +31,8 @@ from .estimators import (
     EstimatorKind,
     EstimatorSpec,
     ShrinkageParams,
-    choose_d,
-    choose_k,
     point_estimate,
-    select_components,
+    select_parameters,
     spectral_decompose,
 )
 from .io import (
@@ -243,20 +241,15 @@ def _fit_pipeline(args):
             f"(final step {fit.final_step_norm:.3e})"
         )
     decomp = spectral_decompose(dataset.X, fit.v_diag)
-    r = args.r if args.r is not None else select_components(decomp.lambdas, args.ptv)
-    if not (1 <= r <= dataset.p):
-        raise ValueError(f"r must lie in [1, {dataset.p}]")
-    d_value = args.d if args.d is not None else choose_d(decomp.lambdas)
-    d_source = "user" if args.d is not None else "rule"
-    if args.k is not None:
-        k_value, k_source, clamped = args.k, "user", False
-    else:
-        selection = choose_k(decomp.lambdas, decomp.T.T @ fit.beta, d_value)
-        k_value, k_source, clamped = selection.value, "rule", selection.clamped
-    params = ShrinkageParams(
-        k=k_value, d=d_value, k_source=k_source, d_source=d_source
+    r, k, d, clamped = select_parameters(
+        decomp, fit.beta, args.ptv, r=args.r, k=args.k, d=args.d
     )
-    return dataset, fit, decomp, r, params, clamped
+    params = ShrinkageParams(
+        float(k), float(d),
+        k_source="rule" if args.k is None else "user",
+        d_source="rule" if args.d is None else "user",
+    )
+    return dataset, fit, decomp, int(r), params, bool(clamped)
 
 
 def _run_fit(args) -> int:
@@ -398,7 +391,12 @@ def _run_compare(args) -> int:
             {
                 "pair": f"{challenger.value}:{incumbent.value}",
                 "theorem": "direct_psd" if verdict is None else verdict.theorem,
-                "condition_value": None if verdict is None else verdict.condition_value,
+                # a T3.1 row whose precondition fails has no condition to report
+                "condition_value": (
+                    verdict.condition_value
+                    if verdict is not None and verdict.precondition_ok
+                    else None
+                ),
                 "condition_holds": None if verdict is None else verdict.holds,
                 "psd_min_eigenvalue": oracle.condition_value,
                 "psd_dominates": oracle.holds,

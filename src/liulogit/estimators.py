@@ -52,6 +52,7 @@ __all__ = [
     "choose_d",
     "choose_k",
     "choose_k_batch",
+    "select_parameters",
     "filter_factors",
     "point_estimate",
     "batch_estimates",
@@ -392,6 +393,32 @@ def choose_k_batch(lambdas, alpha_hat, d) -> KSelection:
     k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
     clamped = (k <= 0.0) | ~np.isfinite(k)
     return KSelection(np.where(clamped, K_MIN, k), clamped)
+
+
+def select_parameters(
+    decomp, beta, ptv_threshold: float, *, r=None, k=None, d=None, min_components=1
+):
+    """r, k and d for one fit or a stack, each by its rule unless given.
+
+    r is ``select_components`` floored at ``min_components`` and capped at
+    p, d is ``choose_d``, and k is ``choose_k_batch`` at that d and the ML
+    eigencoordinates T'beta of ``beta`` (..., p).  ``decomp`` is a
+    ``SpectralDecomposition`` or a ``BatchDecomposition``.  Returns (r, k,
+    d, k_clamped) broadcast to its batch shape; a given k is never clamped.
+    """
+    lam = decomp.lambdas
+    p = lam.shape[-1]
+    if r is None:
+        r = np.clip(select_components(lam, ptv_threshold), min_components, p)
+    elif not 1 <= r <= p:
+        raise ValueError(f"r must lie in [1, {p}]")
+    if d is None:
+        d = choose_d(lam)
+    clamped = False
+    if k is None:
+        alpha = (decomp.T.swapaxes(-1, -2) @ np.asarray(beta)[..., None])[..., 0]
+        k, clamped = choose_k_batch(lam, alpha, d)
+    return tuple(np.broadcast_to(value, lam.shape[:-1]) for value in (r, k, d, clamped))
 
 
 def batch_estimates(fit: BatchFit, decomp: BatchDecomposition, r, k, d) -> dict:

@@ -100,8 +100,8 @@ class FitConfig:
     probability_clip: float = 1e-10
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not (0.0 < self.probability_clip < 0.5):

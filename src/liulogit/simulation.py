@@ -27,9 +27,7 @@ from .estimators import (
     BatchDecomposition,
     EstimatorKind,
     batch_estimates,
-    choose_d,
-    choose_k_batch,
-    select_components,
+    select_parameters,
     spectral_decompose_batch,
 )
 from .model import irls_fit_batch
@@ -225,13 +223,13 @@ def cell_design(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> CellResult:
     """Run one cell and return simulated MSE per estimator.
 
-    Each replication redraws the response, fits by IRLS, selects the
-    component count by the total-variability rule (floored at
-    ``config.min_components``), selects d and k by their rules from that
-    replication's eigenvalues and ML eigencoordinates, and accumulates
-    squared error ||estimate - beta||^2.  Replications whose fit diverges
-    or whose weighted cross-product is numerically indefinite are dropped
-    from the MSE denominator and counted.
+    Each replication redraws the response, fits by IRLS, selects r, k and
+    d with ``select_parameters`` (r pinned to ``config.components`` when
+    set, else the total-variability rule floored at
+    ``config.min_components``) from that replication's eigenvalues and ML
+    eigencoordinates, and accumulates squared error ||estimate - beta||^2.
+    Replications whose fit diverges or whose weighted cross-product is
+    numerically indefinite are dropped from the MSE denominator and counted.
 
     Replications run in blocks of ``REPLICATION_BLOCK`` that share the
     design: one ``rng.random((block, n))`` draw (the same stream as that
@@ -270,21 +268,10 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
             continue
         fit = fit.select(kept)
         decomp = BatchDecomposition(*(part[kept] for part in decomp))
-        lam = decomp.lambdas
-
-        if config.components is not None:
-            r = np.full(lam.shape[0], config.components)
-        else:
-            r = np.minimum(
-                np.maximum(
-                    select_components(lam, config.ptv_threshold),
-                    config.min_components,
-                ),
-                config.p,
-            )
-        alpha = (decomp.T.swapaxes(-1, -2) @ fit.beta[..., None])[..., 0]
-        d = choose_d(lam)
-        k = choose_k_batch(lam, alpha, d).value
+        r, k, d, _ = select_parameters(
+            decomp, fit.beta, config.ptv_threshold,
+            r=config.components, min_components=config.min_components,
+        )
 
         estimates = batch_estimates(fit, decomp, r, k, d)
         for kind, estimate in estimates.items():

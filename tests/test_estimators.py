@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -19,6 +21,7 @@ from liulogit import (
     pcltl_estimate,
     point_estimate,
     select_components,
+    select_parameters,
     spectral_decompose,
     spectral_decompose_batch,
 )
@@ -456,3 +459,50 @@ class TestBatchedSpectralCore:
             }
             for kind, want in expected.items():
                 assert np.max(np.abs(estimates[kind][i] - want)) <= 1e-10, kind
+
+
+class TestSelectParameters:
+    def test_rows_match_one_row_calls(self):
+        X, fit, decomp = batched_instance(150, 5, 0.99, 12, seed=44)
+        batch = select_parameters(decomp, fit.beta, 0.75)
+        assert all(value.shape == (12,) for value in batch)
+        for i in range(12):
+            single = spectral_decompose(X, fit.v_diag[i])
+            row = select_parameters(single, fit.beta[i], 0.75)
+            assert all(value.shape == () for value in row)
+            assert tuple(value[i] for value in batch) == tuple(row)
+            r, k, d, clamped = row
+            assert r == select_components(single.lambdas, 0.75)
+            assert d == choose_d(single.lambdas)
+            rule_k = choose_k(single.lambdas, single.T.T @ fit.beta[i], d)
+            assert k == pytest.approx(rule_k.value, rel=1e-12)
+            assert clamped == rule_k.clamped
+
+    def test_given_r_reaches_every_row(self):
+        _, fit, decomp = batched_instance(150, 5, 0.99, 6, seed=45)
+        r = select_parameters(decomp, fit.beta, 0.75, r=2)[0]
+        assert r.tolist() == [2] * 6
+
+    @pytest.mark.parametrize("r", [0, 6])
+    def test_given_r_outside_range_rejected(self, r):
+        _, fit, decomp = batched_instance(150, 5, 0.99, 3, seed=45)
+        with pytest.raises(ValueError, match=re.escape("r must lie in [1, 5]")):
+            select_parameters(decomp, fit.beta, 0.75, r=r)
+
+    def test_min_components_floors_then_caps(self):
+        _, fit, decomp = batched_instance(150, 5, 0.99, 6, seed=46)
+        rule_r = select_parameters(decomp, fit.beta, 0.5)[0]
+        assert np.all(rule_r < 3)
+        floored = select_parameters(decomp, fit.beta, 0.5, min_components=3)[0]
+        assert floored.tolist() == [3] * 6
+        capped = select_parameters(decomp, fit.beta, 0.5, min_components=9)[0]
+        assert capped.tolist() == [5] * 6
+
+    def test_given_k_is_kept_unclamped(self):
+        _, fit, decomp = batched_instance(150, 5, 0.99, 6, seed=47)
+        # d above every eigenvalue drives the rule's k below zero
+        big_d = 2.0 * float(decomp.lambdas.max())
+        assert select_parameters(decomp, fit.beta, 0.75, d=big_d)[3].all()
+        _, k, d, clamped = select_parameters(decomp, fit.beta, 0.75, k=0.7, d=big_d)
+        assert k.tolist() == [0.7] * 6 and d.tolist() == [big_d] * 6
+        assert not clamped.any()

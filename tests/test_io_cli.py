@@ -231,6 +231,8 @@ class TestFitCommand:
             (["fit", "--config", "{tmp}/absent.cfg"],
              "cannot read config file {tmp}/absent.cfg: No such file or directory"),
             (["fit", "--input", "{csv}", "--r", "0"], "r must lie in [1, 3]"),
+            (["fit", "--input", "{csv}", "--tol", "inf"],
+             "tolerance must be finite and positive"),
         ],
     )
     def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
@@ -596,6 +598,22 @@ class TestCompareCommand:
             assert direct[key] == ""
             assert theorem[key] != ""
         assert theorem["theorem"] == "T3_1"
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_failed_t31_precondition_reads_empty_condition(self, toy_csv, capsys, fmt):
+        # k = 0.1 < d = 0.5 breaks T3.1's precondition d < k
+        code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml",
+                     "--k", "0.1", "--d", "0.5", "--format", fmt])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "json":
+            (row,) = json.loads(out)["comparisons"]
+        else:
+            header, line = out.splitlines()
+            row = dict(zip(header.split("\t"), line.split("\t")))
+        empty = None if fmt == "json" else ""
+        assert row["theorem"] == "T3_1"
+        assert (row["condition_value"], row["condition_holds"]) == (empty, empty)
 
     @pytest.mark.parametrize(
         "content, message",

@@ -319,8 +319,9 @@ class TestValidation:
             Dataset(X=X, y=np.array([0.0, 1.0, 0.0]))
 
     def test_fit_config_bounds(self):
-        with pytest.raises(ValueError):
-            FitConfig(tolerance=0.0)
+        for tolerance in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                FitConfig(tolerance=tolerance)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
