@@ -3,8 +3,9 @@
 Everything downstream (shrinkage estimators, error-matrix analysis, the
 simulation harness) consumes the fitted coefficients and the Bernoulli
 weights V of ``X'VX`` produced here, so this module is the single place where
-probabilities, Bernoulli weights and the fitting loop are defined.  The
-loop is written once, in ``irls_fit_batch``, for a stack of responses
+probabilities, Bernoulli weights and the fitting loop are defined.  Every
+probability in the package is ``logistic``, a plain numpy 1/(1+exp(-x)).
+The loop is written once, in ``irls_fit_batch``, for a stack of responses
 that share one design; ``irls_fit`` is its one-row case.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SingularSystemError
 
@@ -21,6 +21,7 @@ __all__ = [
     "Dataset",
     "FitConfig",
     "LogisticFit",
+    "logistic",
     "predict_probabilities",
     "log_likelihood",
     "weight_diagonal",
@@ -132,8 +133,23 @@ class LogisticFit:
             raise ValueError("weights must lie in (0, 1/4]")
 
 
+def logistic(x) -> np.ndarray:
+    """The logistic function 1/(1+exp(-x)), elementwise.
+
+    For x below about -709, exp(-x) overflows to inf and the result is
+    exactly 0, its correct rounded value, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def _clipped_logistic(eta: np.ndarray, clip: float) -> np.ndarray:
+    pi = logistic(eta)
+    return np.clip(pi, clip, 1.0 - clip, out=pi)
+
+
 def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
-    """Success probabilities exp(x'b)/(1+exp(x'b)), clipped to [clip, 1-clip]."""
+    """Success probabilities logistic(X b), clipped to [clip, 1-clip]."""
     X = _as_matrix(X)
     beta = _as_vector(beta, "beta")
     if X.shape[1] != beta.shape[0]:
@@ -142,7 +158,7 @@ def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
         )
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta contains non-finite entries")
-    return np.clip(expit(X @ beta), clip, 1.0 - clip)
+    return _clipped_logistic(X @ beta, clip)
 
 
 def log_likelihood(y, pi) -> float:
@@ -174,8 +190,12 @@ def working_response(X, beta, y, clip: float = 1e-10) -> np.ndarray:
 
 
 def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # sum(y*eta - log(1+exp(eta))) over the last axis, safe for large |eta|
-    return np.sum(y * eta - np.logaddexp(0.0, eta), axis=-1)
+    # sum(y*eta - log(1+exp(eta))) over the last axis, with
+    # log(1+exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)): exp never overflows
+    soft = np.exp(-np.abs(eta))
+    np.log1p(soft, out=soft)
+    soft += np.maximum(eta, 0.0)
+    return np.sum(y * eta - soft, axis=-1)
 
 
 def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
@@ -285,6 +305,16 @@ def _newton_steps(hessian: np.ndarray, score: np.ndarray):
     return steps, ~np.all(np.isfinite(steps), axis=-1)
 
 
+def _newton_system(X: np.ndarray, eta: np.ndarray, Y: np.ndarray, rows, clip: float):
+    """X'VX and the score X'(y - pi) of each given row, at its eta."""
+    pi = _clipped_logistic(eta[rows], clip)
+    residual = Y[rows]
+    residual -= pi
+    pi *= 1.0 - pi  # the Bernoulli weights v, in place
+    score = np.matmul(X.T, residual[..., None])[..., 0]
+    return stacked_gram(X, pi), score
+
+
 def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     """Fit every row of the 0/1 response matrix Y by IRLS with step-halving.
 
@@ -325,10 +355,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         if active.size == 0:
             break
         iterations[active] = iteration
-        pi = np.clip(expit(eta[active]), clip, 1.0 - clip)
-        v = pi * (1.0 - pi)
-        hessian = stacked_gram(X, v)
-        score = np.matmul(X.T, (Y[active] - pi)[..., None])[..., 0]
+        hessian, score = _newton_system(X, eta, Y, active, clip)
         step, bad = _newton_steps(hessian, score)
         singular[active[bad]] = True
 
@@ -345,7 +372,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         # optimum on floating-point noise)
         trial = ~bad & ~done
         rows, step = active[trial], step[trial]
-        base, y, start = beta[rows], Y[rows], trace[rows, iteration - 1]
+        base, start = beta[rows], trace[rows, iteration - 1]
         floor = start - LOGLIK_SLACK * (1.0 + np.abs(start))
         scale = np.ones(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
@@ -355,7 +382,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
                 break
             candidate = base[pending] + scale[pending, None] * step[pending]
             cand_eta = _stacked_xb(X, candidate)
-            cand_loglik = _stable_loglik(cand_eta, y[pending])
+            cand_loglik = _stable_loglik(cand_eta, Y[rows[pending]])
             ok = cand_loglik >= floor[pending]
             taken = rows[pending[ok]]
             beta[taken] = candidate[ok]
@@ -372,10 +399,11 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         converged[rows[small]] = True
         active = rows[accepted & ~small]
 
-    pi = np.clip(expit(_stacked_xb(X, beta)), clip, 1.0 - clip)
+    v = _clipped_logistic(_stacked_xb(X, beta), clip)
+    v *= 1.0 - v  # the Bernoulli weights pi*(1-pi)
     return BatchFit(
         beta=beta,
-        v_diag=pi * (1.0 - pi),
+        v_diag=v,
         iterations=iterations,
         converged=converged,
         singular=singular,

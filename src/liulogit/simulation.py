@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CellFailedError
 from .estimators import (
@@ -30,7 +29,7 @@ from .estimators import (
     select_parameters,
     spectral_decompose_batch,
 )
-from .model import irls_fit_batch
+from .model import irls_fit_batch, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -198,9 +197,9 @@ def newhouse_oman_beta(X) -> np.ndarray:
 
 
 def generate_response(X, beta, rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli draws with success probabilities expit(X beta)."""
+    """Independent Bernoulli draws with success probabilities logistic(X beta)."""
     X = np.asarray(X, dtype=float)
-    pi = expit(X @ np.asarray(beta, dtype=float))
+    pi = logistic(X @ np.asarray(beta, dtype=float))
     return (rng.random(X.shape[0]) < pi).astype(float)
 
 
@@ -247,7 +246,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     """
     rng = _cell_rng(config)
     X, beta = _build_design(config, rng)
-    pi = expit(X @ beta)
+    pi = logistic(X @ beta)
 
     sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
     stored = {kind: [] for kind in ESTIMATOR_ORDER} if keep_estimates else None

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from liulogit import (
     Dataset,
@@ -11,15 +13,63 @@ from liulogit import (
     irls_fit,
     irls_fit_batch,
     log_likelihood,
+    logistic,
     predict_probabilities,
     weight_diagonal,
     working_response,
 )
+from liulogit.model import _stable_loglik
 
 from _oracles import scalar_irls
 from _util import correlated_design, random_dataset, tight_fit
 
 LN3 = math.log(3.0)
+
+
+class TestLogistic:
+    """scipy's expit is the oracle for the package's one logistic."""
+
+    def test_matches_scipy_expit(self):
+        x = np.linspace(-800.0, 800.0, 400_001)
+        np.testing.assert_allclose(logistic(x), expit(x), rtol=4e-16, atol=0)
+
+    def test_saturates_exactly_without_warning(self):
+        x = np.array([-np.inf, -1e4, -800.0, -746.0, 746.0, 800.0, 1e4, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = logistic(x)
+        assert np.array_equal(pi, [0.0] * 4 + [1.0] * 4)
+
+    def test_logit_ln3_and_zero(self):
+        assert logistic(np.array([0.0, LN3, -LN3])) == pytest.approx([0.5, 0.75, 0.25])
+
+
+class TestStableLoglik:
+    """The log1p form of sum(y*eta - log(1+exp(eta))) against np.logaddexp."""
+
+    # each eta is its own one-term sum, so every element is compared
+    ETA = np.linspace(-1000.0, 1000.0, 200_001)[:, None]
+
+    def test_softplus_term_matches_logaddexp(self):
+        # y = 0 leaves -log(1+exp(eta)); below the smallest normal float
+        # (eta < -708) the values are subnormal and compared absolutely
+        got = _stable_loglik(self.ETA, np.zeros_like(self.ETA))
+        want = -np.logaddexp(0.0, self.ETA[:, 0])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=np.finfo(float).tiny)
+
+    def test_response_term_matches_logaddexp(self):
+        # y = 1: eta and log(1+exp(eta)) cancel for eta > 0, so both forms
+        # are accurate to the rounding of eta itself
+        got = _stable_loglik(self.ETA, np.ones_like(self.ETA))
+        want = self.ETA[:, 0] - np.logaddexp(0.0, self.ETA[:, 0])
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + np.abs(self.ETA[:, 0])))
+
+    def test_no_overflow_warning(self):
+        eta = np.array([[-1e4, -800.0, 0.0, 800.0, 1e4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _stable_loglik(eta, np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]))
+        assert value[0] == pytest.approx(-800.0 - math.log(2.0) - 1e4)
 
 
 class TestPredictProbabilities:
@@ -33,7 +83,7 @@ class TestPredictProbabilities:
         assert predict_probabilities(X, np.array([1.0]))[0] == pytest.approx(0.75)
 
     def test_clipping_floor(self):
-        # expit(-50) ~ 1.9e-22, far below the clip floor
+        # logistic(-50) ~ 1.9e-22, far below the clip floor
         X = np.array([[-50.0]])
         pi = predict_probabilities(X, np.array([1.0]), clip=1e-10)
         assert pi[0] == 1e-10

@@ -6,8 +6,11 @@ here so that the documented API cannot drift from the code.
 """
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import liulogit
 from liulogit import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 # the submodules that declare a public surface (cli declares none)
 PUBLIC_MODULES = [
@@ -57,3 +61,24 @@ def test_readme_python_blocks_run():
     namespace = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"{README.name} python block {i}", "exec"), namespace)
+
+
+def test_cli_start_up_loads_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows what
+    # `import liulogit.cli` loads, whatever this process has imported
+    code = (
+        "import sys, liulogit.cli\n"
+        "print(liulogit.cli.__file__)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    module_file, scipy_modules = result.stdout.splitlines()
+    assert Path(module_file).resolve().is_relative_to(SRC)
+    assert scipy_modules == "[]"
