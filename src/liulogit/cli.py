@@ -290,6 +290,8 @@ def _fit_report_rows(report):
 
 
 def _run_simulate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     seed = args.seed if args.seed is not None else _default_seed()
     grid = StudyGrid(
         p_values=tuple(args.p),
@@ -379,30 +381,27 @@ def _run_compare(args) -> int:
     else:
         beta_source = "true_beta"
 
+    reports = {
+        kind: asymptotic_msem(
+            EstimatorSpec.of(kind, params, r), decomp, beta, beta_source
+        )
+        for kind in set().union(*args.pair)
+    }
     rows = []
     for challenger, incumbent in args.pair:
         verdict = theorem_condition(challenger, incumbent, beta, split, params)
-        challenger_report, incumbent_report = (
-            asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta, beta_source)
-            for kind in (challenger, incumbent)
-        )
-        oracle = psd_dominates(incumbent_report.msem, challenger_report.msem)
+        oracle = psd_dominates(reports[incumbent].msem, reports[challenger].msem)
         rows.append(
             {
                 "pair": f"{challenger.value}:{incumbent.value}",
                 "theorem": "direct_psd" if verdict is None else verdict.theorem,
-                # a T3.1 row whose precondition fails has no condition to report
-                "condition_value": (
-                    verdict.condition_value
-                    if verdict is not None and verdict.precondition_ok
-                    else None
-                ),
+                "condition_value": None if verdict is None else verdict.condition_value,
                 "condition_holds": None if verdict is None else verdict.holds,
                 "psd_min_eigenvalue": oracle.condition_value,
                 "psd_dominates": oracle.holds,
                 "agreement": None if verdict is None else verdict.psd_oracle_agrees,
-                "smse_challenger": challenger_report.smse,
-                "smse_incumbent": incumbent_report.smse,
+                "smse_challenger": reports[challenger].smse,
+                "smse_incumbent": reports[incumbent].smse,
                 "beta_source": beta_source,
             }
         )

@@ -101,7 +101,8 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
 
 def _data_lines(path: Path, has_header: bool):
     """Yield (1-based line number, stripped text) for each non-blank data line."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if lineno == 1 and has_header:
                 continue

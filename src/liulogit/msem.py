@@ -11,7 +11,8 @@ difference, because the conditions of Theorems 3.2 and 3.3 are
 sufficient, not necessary: a "does not hold" verdict can sit beside a
 difference that is still nonnegative definite.  ``theorem_condition``
 gives the verdict of whichever theorem covers a (challenger, incumbent)
-pair.
+pair; a T3.1 verdict whose precondition fails carries no condition
+value and no verdict.
 """
 
 from __future__ import annotations
@@ -73,14 +74,18 @@ class DominanceVerdict:
     condition compares; for the direct test it is the smallest eigenvalue
     of the symmetrized matrix difference.  ``psd_oracle_agrees`` is set
     when a closed-form verdict was cross-checked against the direct test.
-    ``holds`` is None when the theorem's preconditions were violated.
+    ``condition_value`` and ``holds`` are None when the theorem's
+    preconditions were violated, which ``precondition_ok`` reports.
     """
 
     theorem: str
-    condition_value: float
+    condition_value: float | None
     holds: bool | None
     psd_oracle_agrees: bool | None = None
-    precondition_ok: bool = True
+
+    @property
+    def precondition_ok(self) -> bool:
+        return self.holds is not None
 
 
 def pcltl_bias(beta, split: ComponentSplit, params: ShrinkageParams) -> np.ndarray:
@@ -95,6 +100,13 @@ def pcltl_covariance(split: ComponentSplit, params: ShrinkageParams) -> np.ndarr
     return asymptotic_msem(spec, split.decomposition, np.zeros(split.p)).covariance
 
 
+def _beta_vector(beta, p: int) -> np.ndarray:
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (p,):
+        raise ValueError("beta length must match the decomposition dimension")
+    return beta
+
+
 def asymptotic_msem(
     spec: EstimatorSpec,
     decomp: SpectralDecomposition,
@@ -107,9 +119,7 @@ def asymptotic_msem(
     the true coefficients in simulation settings, the plugged-in ML fit in
     data analysis.  ``beta_source`` records which one was supplied.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (decomp.p,):
-        raise ValueError("beta length must match the decomposition dimension")
+    beta = _beta_vector(beta, decomp.p)
     T, lam = decomp.T, decomp.lambdas
     g = spec.factors(lam)
     cov = (T * (g**2 / lam)) @ T.T
@@ -159,30 +169,32 @@ def psd_dominates(msem_a, msem_b, strict: bool = False) -> DominanceVerdict:
     )
 
 
-def _oracle_agreement(holds: bool, msem_incumbent, msem_challenger) -> bool:
-    """Direction-matched comparison of a closed-form verdict with the oracle.
-
-    A superiority claim must be confirmed by the tolerance-relaxed test; a
-    non-superiority claim must be confirmed by the strict test failing.
-    Matching the tolerance direction to the claim keeps exact-arithmetic
-    boundary cases (differences that are singular rather than indefinite)
-    from being scored as disagreements.
-    """
-    if holds:
-        return bool(psd_dominates(msem_incumbent, msem_challenger).holds)
-    return not psd_dominates(msem_incumbent, msem_challenger, strict=True).holds
-
-
 def _checked_verdict(theorem, value, holds, incumbent, beta, split, params):
-    """A closed-form verdict of PCLTL against ``incumbent``, oracle-checked."""
+    """A closed-form verdict of PCLTL against ``incumbent``, oracle-checked.
+
+    The direct test's tolerance is matched to the claim: a superiority
+    claim must pass the tolerance-relaxed test, a non-superiority claim
+    must fail the strict one.  That keeps exact-arithmetic boundary cases
+    (differences that are singular rather than indefinite) from being
+    scored as disagreements.
+    """
     incumbent_msem, pcltl_msem = (
         asymptotic_msem(
             EstimatorSpec.of(kind, params, split.r), split.decomposition, beta
         ).msem
         for kind in (incumbent, EstimatorKind.PCLTL)
     )
-    agrees = _oracle_agreement(holds, incumbent_msem, pcltl_msem)
-    return DominanceVerdict(theorem, value, holds, psd_oracle_agrees=agrees)
+    direct = psd_dominates(incumbent_msem, pcltl_msem, strict=not holds)
+    return DominanceVerdict(theorem, value, holds, direct.holds == holds)
+
+
+def _span_verdict(theorem, basis, incumbent, beta, split, params):
+    """PCLTL against ``incumbent`` when beta has no component on ``basis``."""
+    beta = _beta_vector(beta, split.p)
+    value = float(np.max(np.abs(basis.T @ beta), initial=0.0))
+    return _checked_verdict(
+        theorem, value, value <= ZERO_TOL, incumbent, beta, split, params
+    )
 
 
 def theorem_3_1_condition(
@@ -198,15 +210,10 @@ def theorem_3_1_condition(
     difference is always computed and its agreement with the scalar
     condition recorded, so any disagreement is observable data.
     """
+    beta = _beta_vector(beta, split.p)
     k, d = params.k, params.d
     if not (d < k and d + k > 0.0):
-        return DominanceVerdict(
-            theorem="T3_1",
-            condition_value=float("nan"),
-            holds=None,
-            precondition_ok=False,
-        )
-    beta = np.asarray(beta, dtype=float)
+        return DominanceVerdict("T3_1", condition_value=None, holds=None)
     alpha = split.decomposition.T.T @ beta
     alpha_r = alpha[: split.r]
     alpha_tail = alpha[split.r :]
@@ -236,11 +243,7 @@ def theorem_3_2_condition(
     coincides with the full ML fit and shrinkage can dominate it outright,
     so only the recorded oracle is informative there.
     """
-    beta = np.asarray(beta, dtype=float)
-    value = float(np.max(np.abs(split.t_r.T @ beta)))
-    return _checked_verdict(
-        "T3_2", value, value <= ZERO_TOL, EstimatorKind.PCLR, beta, split, params
-    )
+    return _span_verdict("T3_2", split.t_r, EstimatorKind.PCLR, beta, split, params)
 
 
 def theorem_3_3_condition(
@@ -254,33 +257,23 @@ def theorem_3_3_condition(
     example, beta = (0, 0, 0.05) makes the difference PSD with eigenvalues
     (0, 0, 0.079).
     """
-    beta = np.asarray(beta, dtype=float)
-    tail = split.t_tail.T @ beta
-    value = float(np.max(np.abs(tail))) if tail.size else 0.0
-    return _checked_verdict(
-        "T3_3", value, value <= ZERO_TOL, EstimatorKind.LTL, beta, split, params
-    )
-
-
-# Theorems 3.1-3.3 compare PCLTL with its three special cases.  Each entry
-# calls its theorem by the module-level name at call time, so a wrapper
-# bound to that name (as span tracing binds one) sees the call.
-_PAIR_THEOREMS = {
-    (EstimatorKind.PCLTL, EstimatorKind.ML): lambda beta, split, params: (
-        theorem_3_1_condition(beta, split, params)
-    ),
-    (EstimatorKind.PCLTL, EstimatorKind.PCLR): lambda beta, split, params: (
-        theorem_3_2_condition(beta, split, params)
-    ),
-    (EstimatorKind.PCLTL, EstimatorKind.LTL): lambda beta, split, params: (
-        theorem_3_3_condition(beta, split, params)
-    ),
-}
+    return _span_verdict("T3_3", split.t_tail, EstimatorKind.LTL, beta, split, params)
 
 
 def theorem_condition(
     challenger: EstimatorKind, incumbent: EstimatorKind, beta, split, params
 ) -> DominanceVerdict | None:
-    """The pair's theorem verdict, or None when no theorem covers the pair."""
-    theorem = _PAIR_THEOREMS.get((challenger, incumbent))
+    """The pair's theorem verdict, or None when no theorem covers the pair.
+
+    Theorems 3.1-3.3 compare PCLTL with its three special cases.  The
+    table is built at call time, so a wrapper bound to a theorem's
+    module-level name (as span tracing binds one) sees the call.
+    """
+    if challenger is not EstimatorKind.PCLTL:
+        return None
+    theorem = {
+        EstimatorKind.ML: theorem_3_1_condition,
+        EstimatorKind.PCLR: theorem_3_2_condition,
+        EstimatorKind.LTL: theorem_3_3_condition,
+    }.get(incumbent)
     return None if theorem is None else theorem(beta, split, params)

@@ -26,6 +26,7 @@ from liulogit import (
     theorem_3_3_condition,
     write_dataset,
 )
+from liulogit import cli
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
@@ -85,6 +86,16 @@ class TestParseDataset:
         parsed = parse_dataset(path, has_header=True, response_column=0)
         assert np.array_equal(parsed.X, original.X)
         assert np.array_equal(parsed.y, original.y)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+        rows = "1,0.5,2.0\n0,-0.2,1.5\n1,1.1,-0.3\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_text("\ufeff" + rows, encoding="utf-8")
+        expected, parsed = parse_dataset(plain), parse_dataset(marked)
+        assert np.array_equal(parsed.X, expected.X)
+        assert np.array_equal(parsed.y, expected.y)
 
     def test_response_column_in_middle(self, tmp_path):
         path = tmp_path / "mid.csv"
@@ -233,6 +244,8 @@ class TestFitCommand:
             (["fit", "--input", "{csv}", "--r", "0"], "r must lie in [1, 3]"),
             (["fit", "--input", "{csv}", "--tol", "inf"],
              "tolerance must be finite and positive"),
+            (["simulate", "--workers", "0", "--out", "{tmp}/out"],
+             "--workers must be at least 1, got 0"),
         ],
     )
     def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
@@ -437,6 +450,21 @@ class TestSimulateCommand:
             capsys.readouterr().err
         )
 
+    def test_negative_workers_rejected_before_any_cell(self, tmp_path, monkeypatch,
+                                                       capsys):
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_cells", no_cells)
+        out = tmp_path / "out"
+        code = main(["simulate", "--p", "3", "--n", "80", "--reps", "5",
+                     "--workers", "-3", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --workers must be at least 1, got -3\n"
+        )
+        assert not out.exists()
+
     def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LIULOGIT_SEED", "12x")
         code = main(["simulate", "--p", "3", "--n", "80", "--rho", "0.8", "--reps", "5"])
@@ -483,6 +511,20 @@ class TestCompareCommand:
                       "smse_incumbent", "beta_source"):
             assert field in first
         assert first["beta_source"] == "plug_in_mle"
+
+    def test_each_estimator_msem_is_formed_once(self, toy_csv, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return asymptotic_msem(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "asymptotic_msem", counted)
+        code = main(["compare", "--input", str(toy_csv),
+                     "--pair", "pcltl:ml,pcltl:pclr,pcltl:ltl"])
+        assert code == EXIT_OK
+        # one report per estimator named in --pair, though pcltl is in all three
+        assert len(calls) == 4 and set(calls) == set(EstimatorKind)
 
     def test_beta_in_retained_span_satisfies_t33(self, toy_csv, tmp_path, capsys):
         # build a coefficient vector inside the retained eigenspace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liulogit import msem
 from liulogit import (
     EstimatorKind,
     EstimatorSpec,
@@ -259,6 +260,7 @@ class TestTheorem31:
         verdict = theorem_3_1_condition(np.ones(3), decomp.split(2), params)
         assert not verdict.precondition_ok
         assert verdict.holds is None
+        assert verdict.condition_value is None
 
     def test_boundary_scaling(self):
         # scale beta so the quadratic form hits exactly 1
@@ -354,6 +356,17 @@ class TestTheorems32And33:
             assert verdict.psd_oracle_agrees
 
 
+    def test_t33_at_full_rank_has_an_empty_tail(self):
+        # r = p leaves no discarded axes, and PCLTL then coincides with LTL
+        rng = np.random.default_rng(55)
+        decomp = random_decomposition(4, rng)
+        verdict = theorem_3_3_condition(
+            rng.standard_normal(4), decomp.split(4), ShrinkageParams(k=1.0, d=0.2)
+        )
+        assert verdict.condition_value == 0.0
+        assert verdict.holds is True
+        assert verdict.psd_oracle_agrees
+
     def test_conditions_sufficient_not_necessary(self):
         # beta has a retained (T3.2) or discarded (T3.3) component, so the
         # closed form says no, yet the MSEM difference is singular and PSD
@@ -377,6 +390,27 @@ class TestTheorems32And33:
 
 
 class TestTheoremCondition:
+    @pytest.mark.parametrize(
+        "theorem", [theorem_3_1_condition, theorem_3_2_condition, theorem_3_3_condition]
+    )
+    def test_beta_length_is_checked(self, theorem):
+        decomp = random_decomposition(3, np.random.default_rng(56))
+        with pytest.raises(
+            ValueError, match="beta length must match the decomposition dimension"
+        ):
+            theorem(np.ones(2), decomp.split(2), ShrinkageParams(k=1.0, d=0.2))
+
+    def test_theorem_is_looked_up_at_call_time(self, monkeypatch):
+        # span tracing rebinds the module-level theorem names after import
+        sentinel = object()
+        monkeypatch.setattr(msem, "theorem_3_2_condition", lambda *args: sentinel)
+        decomp = random_decomposition(3, np.random.default_rng(57))
+        verdict = theorem_condition(
+            EstimatorKind.PCLTL, EstimatorKind.PCLR, np.ones(3), decomp.split(2),
+            ShrinkageParams(k=1.0, d=0.2),
+        )
+        assert verdict is sentinel
+
     def test_pair_table(self):
         rng = np.random.default_rng(52)
         decomp = random_decomposition(4, rng)
