@@ -70,9 +70,12 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR, "20240817")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _csv_values(convert, noun: str):
@@ -125,6 +128,11 @@ def _load_config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
     except OSError as exc:
         raise ValueError(
             f"cannot read config file {path}: {exc.strerror or exc}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"config file {path} is not UTF-8 text: byte "
+            f"0x{exc.object[exc.start]:02x} at offset {exc.start}"
         ) from None
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

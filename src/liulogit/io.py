@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,8 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
 
     The response column must contain only 0/1 values; remaining columns
     become covariates in file order.  Parse failures, including NaN or
-    infinite cells, name the 1-based offending line.
+    infinite cells and bytes that are not UTF-8, name the 1-based
+    offending line.
     """
     path = Path(path)
     if not path.is_file():
@@ -102,13 +104,31 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
 def _data_lines(path: Path, has_header: bool):
     """Yield (1-based line number, stripped text) for each non-blank data line."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if lineno == 1 and has_header:
-                continue
-            line = raw.strip()
-            if line:
-                yield lineno, line
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if lineno == 1 and has_header:
+                    continue
+                line = raw.strip()
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: Path) -> DatasetFormatError:
+    # rare path: a second pass keeps each undecodable byte as a lone
+    # surrogate U+DC80..U+DCFF, which valid UTF-8 never decodes to, and
+    # splits lines as the first pass did
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        lineno, bad = next(
+            (lineno, match[0])
+            for lineno, raw in enumerate(handle, start=1)
+            for match in re.finditer("[\udc80-\udcff]", raw)
+        )
+    return DatasetFormatError(
+        f"line {lineno}: byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8 text", line=lineno
+    )
 
 
 def _non_finite(lineno: int) -> DatasetFormatError:

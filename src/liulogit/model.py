@@ -201,9 +201,8 @@ def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
 def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
     """Fit the maximum-likelihood coefficients by IRLS with step-halving.
 
-    The one-row case of ``irls_fit_batch``, which documents the loop.  The
-    trace gains the log-likelihood after a final sub-tolerance step, which
-    the batched loop does not evaluate.
+    Row 0 of ``irls_fit_batch``, which documents the loop, with its trace
+    stripped of the NaN padding and its working response ``z`` added.
 
     Raises
     ------
@@ -218,19 +217,15 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
             f"X'VX singular or IRLS step non-finite at iteration {iterations}",
             iterations,
         )
-    converged = bool(batch.converged[0])
     trace = batch.loglik_trace[0]
-    trace = trace[~np.isnan(trace)].tolist()
-    if converged and len(trace) == iterations:
-        trace.append(float(_stable_loglik(data.X @ batch.beta[0], data.y)))
     return LogisticFit(
         beta=batch.beta[0],
         v_diag=batch.v_diag[0],
         z=working_response(data.X, batch.beta[0], data.y, config.probability_clip),
         iterations=iterations,
-        converged=converged,
+        converged=bool(batch.converged[0]),
         final_step_norm=float(batch.final_step_norm[0]),
-        loglik_trace=tuple(trace),
+        loglik_trace=tuple(trace[~np.isnan(trace)].tolist()),
     )
 
 
@@ -245,8 +240,8 @@ class BatchFit:
     ``final_step_norm``, the max-norm of the last step taken (of the
     rejected full step when step-halving failed).  ``loglik_trace``
     (b, max_iterations + 1) holds the log-likelihood at the start and after
-    each accepted step, NaN after the row's last entry; a row that
-    converged on a sub-tolerance step has no entry for that step.
+    each accepted step, NaN after the row's last entry, so a row's last
+    entry is the log-likelihood at its ``beta``.
     ``singular`` marks the rows whose Newton system was singular or gave a
     non-finite step; they keep the iterate reached before the failed solve
     and are never converged.
@@ -320,16 +315,17 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
 
     This is the package's one IRLS loop; ``irls_fit`` is its one-row case.
     Each row starts at beta = 0 and takes Newton steps
-    ``(X'VX)^{-1} X'(y - pi)``.  A step whose max-norm is at most
-    ``config.tolerance`` is taken unconditionally and converges the row.
-    A longer step is halved up to 10 times until the log-likelihood drops
-    by no more than summation roundoff; the row stops unconverged when no
-    halving is accepted, and converges when the accepted step is within
-    the tolerance.  Rows leave the active set as they converge, stall or
-    meet a singular system, which is flagged in ``singular``.  Every
-    matrix product is one row's product with X, so no BLAS call grows
-    with the number of rows and each row's arithmetic is independent of
-    the others.
+    ``(X'VX)^{-1} X'(y - pi)``, each accepted by one rule: the step is
+    halved up to 10 times until the log-likelihood drops by no more than
+    summation roundoff, except that a full step whose max-norm is at most
+    ``config.tolerance`` is taken unconditionally.  The row stops
+    unconverged when no halving is accepted, and converges when the
+    accepted step is within the tolerance.  Every accepted step, the last
+    included, adds its log-likelihood to the trace.  Rows leave the active
+    set as they converge, stall or meet a singular system, which is
+    flagged in ``singular``.  Every matrix product is one row's product
+    with X, so no BLAS call grows with the number of rows and each row's
+    arithmetic is independent of the others.
     """
     X = _as_design(X)
     Y = np.asarray(Y, dtype=float)
@@ -359,21 +355,16 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         step, bad = _newton_steps(hessian, score)
         singular[active[bad]] = True
 
-        # a sub-tolerance step means the row already sits at the optimum;
-        # taking it unconditionally avoids stalling on likelihood roundoff
-        step_norm = np.max(np.abs(step), axis=-1)
-        final_step_norm[active[~bad]] = step_norm[~bad]
-        done = ~bad & (step_norm <= tolerance)
-        beta[active[done]] += step[done]
-        converged[active[done]] = True
-
         # step-halving: never accept a likelihood decrease beyond summation
         # roundoff (the slack keeps tight tolerances from stalling at the
-        # optimum on floating-point noise)
-        trial = ~bad & ~done
-        rows, step = active[trial], step[trial]
+        # optimum on floating-point noise); a sub-tolerance step means the
+        # row already sits at the optimum, so its floor is -inf and the full
+        # step is taken unconditionally
+        rows, step = active[~bad], step[~bad]
+        step_norm = np.max(np.abs(step), axis=-1)
         base, start = beta[rows], trace[rows, iteration - 1]
         floor = start - LOGLIK_SLACK * (1.0 + np.abs(start))
+        floor[step_norm <= tolerance] = -np.inf
         scale = np.ones(rows.size)
         accepted = np.zeros(rows.size, dtype=bool)
         pending = np.arange(rows.size)
@@ -392,14 +383,16 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
             pending = pending[~ok]
             scale[pending] *= 0.5
 
-        # rows whose halving failed stop here, unconverged
-        step_norm = np.max(np.abs(scale[:, None] * step), axis=-1)
-        final_step_norm[rows[accepted]] = step_norm[accepted]
+        # rows whose halving failed stop here, unconverged, and report the
+        # norm of their rejected full step
+        step_norm[accepted] *= scale[accepted]
+        final_step_norm[rows] = step_norm
         small = accepted & (step_norm <= tolerance)
         converged[rows[small]] = True
         active = rows[accepted & ~small]
 
-    v = _clipped_logistic(_stacked_xb(X, beta), clip)
+    # eta holds X beta at every row's final iterate
+    v = _clipped_logistic(eta, clip)
     v *= 1.0 - v  # the Bernoulli weights pi*(1-pi)
     return BatchFit(
         beta=beta,

@@ -84,6 +84,8 @@ class SimulationConfig:
             raise ValueError("rho must lie in [0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.ptv_threshold <= 1.0):
             raise ValueError("ptv_threshold must lie in (0, 1]")
         if self.design_scaling not in ("fixed_norm", "raw"):
@@ -129,7 +131,11 @@ class CellResult:
 
 @dataclass(frozen=True)
 class StudyGrid:
-    """Cartesian grid of cell coordinates, enumerated p-major."""
+    """Cartesian grid of cell coordinates, enumerated p-major.
+
+    Each list is nonempty and names each value once, so no two cells
+    share their coordinates.
+    """
 
     p_values: tuple = (4, 6, 8, 12)
     n_values: tuple = (200, 500, 1000)
@@ -140,6 +146,9 @@ class StudyGrid:
             values = tuple(getattr(self, name))
             if not values:
                 raise ValueError(f"{name} must be nonempty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
             object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
@@ -259,9 +268,8 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         size = min(REPLICATION_BLOCK, config.replications - start)
         Y = (rng.random((size, config.n)) < pi).astype(float)
         fit = irls_fit_batch(X, Y)
-        fit = fit.select(fit.converged)
         decomp = spectral_decompose_batch(X, fit.v_diag)
-        kept = decomp.positive_definite
+        kept = fit.converged & decomp.positive_definite
         divergent += size - int(np.count_nonzero(kept))
         if not kept.any():
             continue

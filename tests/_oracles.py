@@ -35,15 +35,14 @@ def loglik(X, beta, y):
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
-def scalar_irls(X, y, config) -> tuple[LogisticFit, bool]:
+def scalar_irls(X, y, config) -> LogisticFit:
     """IRLS for one response: Newton steps from beta = 0 with step-halving.
 
     A sub-tolerance step is taken unconditionally and converges the fit;
     a longer step is halved until the log-likelihood drops by no more than
     the slack, and the fit stops unconverged when no halving is accepted.
-    Returns the fit and whether it ended on a sub-tolerance step.  Raises
-    ``SingularSystemError`` with the iteration of a singular or non-finite
-    Newton step.
+    Raises ``SingularSystemError`` with the iteration of a singular or
+    non-finite Newton step.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -54,7 +53,6 @@ def scalar_irls(X, y, config) -> tuple[LogisticFit, bool]:
     converged = False
     step_norm = np.inf
     iterations = 0
-    sub_tolerance_end = False
 
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
@@ -74,7 +72,7 @@ def scalar_irls(X, y, config) -> tuple[LogisticFit, bool]:
             beta = beta + step
             current = loglik(X, beta, y)
             trace.append(current)
-            converged = sub_tolerance_end = True
+            converged = True
             break
 
         slack = LOGLIK_SLACK * (1.0 + abs(current))
@@ -100,7 +98,7 @@ def scalar_irls(X, y, config) -> tuple[LogisticFit, bool]:
 
     pi = np.clip(expit(X @ beta), clip, 1.0 - clip)
     v = pi * (1.0 - pi)
-    fit = LogisticFit(
+    return LogisticFit(
         beta=beta,
         v_diag=v,
         z=X @ beta + (y - pi) / v,
@@ -109,7 +107,6 @@ def scalar_irls(X, y, config) -> tuple[LogisticFit, bool]:
         final_step_norm=step_norm,
         loglik_trace=tuple(trace),
     )
-    return fit, sub_tolerance_end
 
 
 def dense_decompose(X, v) -> SpectralDecomposition:

@@ -76,6 +76,23 @@ class TestParseDataset:
         assert err.value.line == 4
         assert "line 4: non-finite cell" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "content, has_header, line",
+        [
+            (b"y,x1\n1,0.5\n0,caf\xe9\n1,0.3\n", True, 3),
+            (b"y,x\xe9\n1,0.5\n0,0.2\n", True, 1),
+            (b"1,0.5\r\n0,0.2\r\n\r\n1,0.3 \xff\r\n", False, 4),
+        ],
+        ids=["data-line", "header", "crlf"],
+    )
+    def test_not_utf8_names_line(self, tmp_path, content, has_header, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(path, has_header=has_header)
+        assert err.value.line == line
+        assert f"line {line}: byte 0x" in str(err.value)
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(70)
         X = rng.standard_normal((25, 3))
@@ -246,6 +263,11 @@ class TestFitCommand:
              "tolerance must be finite and positive"),
             (["simulate", "--workers", "0", "--out", "{tmp}/out"],
              "--workers must be at least 1, got 0"),
+            (["simulate", "--p", "4,4", "--reps", "2"], "p_values lists 4 more than once"),
+            (["simulate", "--n", "200,500,200", "--reps", "2"],
+             "n_values lists 200 more than once"),
+            (["simulate", "--rho", "0.9,0.9", "--reps", "2"],
+             "rho_values lists 0.9 more than once"),
         ],
     )
     def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
@@ -333,6 +355,14 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: " + message.format(path=path))
         assert len(err.splitlines()) == 1
+
+    def test_not_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("y,x1\n1,0.5\n0,café\n".encode("latin-1"))
+        assert main(["fit", "--input", str(path), "--has-header"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: line 3: byte 0xe9 is not UTF-8 text\n"
+        )
 
     def test_output_file(self, toy_csv, tmp_path):
         out = tmp_path / "fit.json"
@@ -463,6 +493,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "usage error: --workers must be at least 1, got -3\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "env, flags, line",
+        [
+            (None, ["--seed", "-1"],
+             "usage error: seed must be a non-negative integer, got -1\n"),
+            ("-5", [],
+             "usage error: LIULOGIT_SEED must be a non-negative integer, got '-5'\n"),
+        ],
+        ids=["flag", "env"],
+    )
+    def test_negative_seed_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                            env, flags, line):
+        if env is not None:
+            monkeypatch.setenv("LIULOGIT_SEED", env)
+        out = tmp_path / "out"
+        code = main(["simulate", "--p", "3", "--n", "80", "--rho", "0.8",
+                     "--reps", "5", *flags, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
@@ -702,6 +753,15 @@ class TestConfigFile:
         assert main(["fit", "--config", str(tmp_path / "absent.cfg")]) == EXIT_USAGE
         message = capsys.readouterr().err
         assert "cannot read config file" in message and "absent.cfg" in message
+
+    def test_not_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("input = café.csv\n".encode("latin-1"))
+        assert main(["fit", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: config file {cfg} is not UTF-8 text: "
+            "byte 0xe9 at offset 11\n"
+        )
 
     def test_trailing_config_flag_is_usage_error(self, capsys):
         assert main(["fit", "--config"]) == EXIT_USAGE

@@ -68,7 +68,7 @@ def test_rows_are_independent_and_match_oracle(stack):
                 i, field.name,
             )
         try:
-            want, _ = scalar_irls(X, y, config)
+            want = scalar_irls(X, y, config)
         except SingularSystemError as exc:
             assert batch.singular[i] and not batch.converged[i], i
             assert batch.iterations[i] == exc.iteration, i

@@ -229,7 +229,7 @@ class TestIrlsFit:
         assert np.max(np.abs(fit.beta - beta)) < 0.2
 
 
-def assert_fit_matches(fit, want, trace):
+def assert_fit_matches(fit, want):
     """One fit (a LogisticFit or one BatchFit row) against the oracle's."""
     assert fit.iterations == want.iterations
     assert fit.converged == want.converged
@@ -239,7 +239,9 @@ def assert_fit_matches(fit, want, trace):
         fit.final_step_norm, want.final_step_norm, rtol=1e-10, atol=0
     )
     got = np.asarray(fit.loglik_trace)
-    np.testing.assert_allclose(got[~np.isnan(got)], trace, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(
+        got[~np.isnan(got)], want.loglik_trace, rtol=1e-10, atol=0
+    )
 
 
 def assert_batch_matches_scalar(X, Y, config=FitConfig()):
@@ -247,7 +249,7 @@ def assert_batch_matches_scalar(X, Y, config=FitConfig()):
     batch = irls_fit_batch(X, Y, config)
     for i, y in enumerate(Y):
         try:
-            want, sub_tolerance_end = scalar_irls(X, y, config)
+            want = scalar_irls(X, y, config)
         except SingularSystemError as exc:
             assert batch.singular[i], i
             assert not batch.converged[i]
@@ -257,11 +259,9 @@ def assert_batch_matches_scalar(X, Y, config=FitConfig()):
             assert err.value.iteration == exc.iteration
             continue
         assert not batch.singular[i], i
-        # the batch evaluates no log-likelihood after a final sub-tolerance step
-        batch_trace = want.loglik_trace[:-1] if sub_tolerance_end else want.loglik_trace
-        assert_fit_matches(batch.select(i), want, batch_trace)
+        assert_fit_matches(batch.select(i), want)
         fit = irls_fit(Dataset(X, y), config)
-        assert_fit_matches(fit, want, want.loglik_trace)
+        assert_fit_matches(fit, want)
         np.testing.assert_allclose(fit.z, want.z, rtol=1e-10, atol=1e-10)
     return batch
 
@@ -331,6 +331,23 @@ class TestIrlsFitBatch:
         batch = assert_batch_matches_scalar(X, Y, config)
         stalled = ~batch.converged & (batch.iterations < config.max_iterations)
         assert batch.converged.any() and stalled.any()
+
+    def test_irls_fit_is_row_zero(self):
+        # every field bit for bit, the trace included: a fit that ends on a
+        # sub-tolerance step logs that step in both
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            dataset, _ = random_dataset(int(rng.integers(30, 200)), 3, rng, rho=0.7)
+            fit = irls_fit(dataset)
+            row = irls_fit_batch(dataset.X, dataset.y[None])
+            trace = row.loglik_trace[0]
+            assert np.array_equal(fit.beta, row.beta[0])
+            assert np.array_equal(fit.v_diag, row.v_diag[0])
+            assert fit.iterations == row.iterations[0]
+            assert fit.converged == row.converged[0]
+            assert fit.final_step_norm == row.final_step_norm[0]
+            assert np.array_equal(fit.loglik_trace, trace[~np.isnan(trace)])
+            assert fit.converged and len(fit.loglik_trace) == fit.iterations + 1
 
     def test_select_takes_rows(self):
         rng = np.random.default_rng(15)

@@ -72,7 +72,7 @@ def reference_cell(config, keep_estimates=False):
     for _ in range(config.replications):
         y = generate_response(X, beta, rng)
         try:
-            fit, _ = scalar_irls(X, y, FitConfig())
+            fit = scalar_irls(X, y, FitConfig())
         except SingularSystemError:
             divergent += 1
             continue
@@ -328,6 +328,19 @@ class TestStudyGrid:
     def test_default_grid_size(self):
         assert len(StudyGrid()) == 48
 
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("p_values", (4, 6, 4), "p_values lists 4 more than once"),
+            ("n_values", (200, 200), "n_values lists 200 more than once"),
+            ("rho_values", (0.8, 0.9, 0.9), "rho_values lists 0.9 more than once"),
+        ],
+    )
+    def test_repeated_value_rejected(self, field, values, message):
+        with pytest.raises(ValueError) as err:
+            StudyGrid(**{field: values})
+        assert str(err.value) == message
+
     def test_ptv_rule(self):
         assert ptv_for_p(6) == 0.83
         for p in (4, 8, 12):
@@ -431,3 +444,9 @@ class TestConfigValidation:
             SimulationConfig(n=100, p=4, rho=0.5, replications=0)
         with pytest.raises(ValueError):
             SimulationConfig(n=100, p=4, rho=0.5, design_scaling="other")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(n=100, p=4, rho=0.5, seed=-1)
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
+        SimulationConfig(n=100, p=4, rho=0.5, seed=0)
