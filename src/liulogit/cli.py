@@ -2,12 +2,13 @@
 
 ``main(argv)`` returns the exit code: 0 success, 1 usage error, 2 data
 error, 3 numerical failure. Each error is one line on stderr; failed
-``simulate`` cells are listed with the results instead. The comma lists (--estimators, --pair, --p, --n, --rho) are checked while
-the arguments are parsed, and empty tokens are skipped. The environment
-variable ``LIULOGIT_SEED`` supplies the default seed, and ``--config FILE``
-(or ``--config=FILE``) reads ``key = value`` lines mirroring the long
-flags (explicit flags win); a switch such as ``has_header`` takes true,
-yes, false or no.
+``simulate`` cells are listed with the results instead. The comma lists
+(--estimators, --pair, --p, --n, --rho) are checked while the arguments
+are parsed, and empty tokens are skipped. The environment variable
+``LIULOGIT_SEED`` supplies the default seed, and ``--config FILE`` (or
+``--config=FILE``) reads ``key = value`` lines mirroring the long flags
+(explicit flags win); a switch such as ``has_header`` takes true, yes,
+false or no.
 """
 
 from __future__ import annotations

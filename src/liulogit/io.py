@@ -8,10 +8,8 @@ order so identical studies serialize to identical bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,19 +35,32 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
     """Read a comma-delimited numeric file into a Dataset.
 
     The response column must contain only 0/1 values; remaining columns
-    become covariates in file order.  Parse failures, including NaN or
-    infinite cells and bytes that are not UTF-8, name the 1-based
-    offending line.
+    become covariates in file order.  The header, when there is one, sets
+    the field count every data line must match; otherwise the first data
+    line sets it.  The file is read once and each line is checked as it is
+    read, so a file with several faults is reported at the first one in
+    line order: a byte that is not UTF-8, a wrong field count, a
+    non-numeric, non-binary or non-finite cell.  Each message names that
+    1-based line; a file that cannot be opened or read names the OS reason.
     """
     path = Path(path)
     if not path.is_file():
         raise DatasetFormatError(f"no such file: {path}")
     rows = []
     expected_fields = None
-    for lineno, line in _data_lines(path, has_header):
-        fields = [f.strip() for f in line.split(",")]
+    for lineno, line in _data_lines(path):
+        fields = line.split(",")
         if expected_fields is None:
             expected_fields = len(fields)
+            if has_header and lineno == 1:
+                continue
+        if len(fields) != expected_fields:
+            raise DatasetFormatError(
+                f"line {lineno}: expected {expected_fields} fields, "
+                f"got {len(fields)}",
+                line=lineno,
+            )
+        if not rows:
             if expected_fields < 2:
                 raise DatasetFormatError(
                     f"line {lineno}: need at least 2 columns, got {expected_fields}",
@@ -61,36 +72,25 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
                     f"for {expected_fields} columns",
                     line=lineno,
                 )
-        elif len(fields) != expected_fields:
-            raise DatasetFormatError(
-                f"line {lineno}: expected {expected_fields} fields, "
-                f"got {len(fields)}",
-                line=lineno,
-            )
         try:
             values = [float(f) for f in fields]
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: non-numeric cell", line=lineno
             ) from None
-        if values[response_column] not in (0.0, 1.0):
-            if not math.isfinite(values[response_column]):
-                raise _non_finite(lineno)
+        response = values[response_column]
+        if response not in (0.0, 1.0) and math.isfinite(response):
             raise DatasetFormatError(
-                f"line {lineno}: response value {fields[response_column]} "
+                f"line {lineno}: response value {fields[response_column].strip()} "
                 "is not 0 or 1",
                 line=lineno,
             )
+        if not all(map(math.isfinite, values)):
+            raise DatasetFormatError(f"line {lineno}: non-finite cell", line=lineno)
         rows.append(values)
     if not rows:
         raise DatasetFormatError(f"no data rows in {path}")
     data = np.asarray(rows, dtype=float)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # rare path: a second pass finds the line of the first bad row
-        bad_row = int(np.argmin(finite))
-        lineno, _ = next(itertools.islice(_data_lines(path, has_header), bad_row, None))
-        raise _non_finite(lineno)
     n, p = data.shape[0], data.shape[1] - 1
     if n < p:
         raise DatasetFormatError(
@@ -101,38 +101,31 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
     return Dataset(X=X, y=y)
 
 
-def _data_lines(path: Path, has_header: bool):
-    """Yield (1-based line number, stripped text) for each non-blank data line."""
+def _data_lines(path: Path):
+    """Yield (1-based line number, stripped text) for each non-blank line.
+
+    A byte that is not UTF-8 is decoded to a lone surrogate U+DC80..U+DCFF,
+    which valid UTF-8 never yields, and reported on the line it is read.
+    """
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                if lineno == 1 and has_header:
-                    continue
+                if not raw.isascii():
+                    try:
+                        raw.encode()
+                    except UnicodeEncodeError as exc:
+                        byte = ord(raw[exc.start]) - 0xDC00
+                        raise DatasetFormatError(
+                            f"line {lineno}: byte 0x{byte:02x} is not UTF-8 text",
+                            line=lineno,
+                        ) from None
                 line = raw.strip()
                 if line:
                     yield lineno, line
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _not_utf8(path: Path) -> DatasetFormatError:
-    # rare path: a second pass keeps each undecodable byte as a lone
-    # surrogate U+DC80..U+DCFF, which valid UTF-8 never decodes to, and
-    # splits lines as the first pass did
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        lineno, bad = next(
-            (lineno, match[0])
-            for lineno, raw in enumerate(handle, start=1)
-            for match in re.finditer("[\udc80-\udcff]", raw)
-        )
-    return DatasetFormatError(
-        f"line {lineno}: byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8 text", line=lineno
-    )
-
-
-def _non_finite(lineno: int) -> DatasetFormatError:
-    return DatasetFormatError(f"line {lineno}: non-finite cell", line=lineno)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise DatasetFormatError(f"cannot read dataset file {path}: {reason}") from None
 
 
 def write_dataset(dataset: Dataset, path, header: bool = True) -> None:

@@ -11,10 +11,12 @@ from liulogit import (
     EstimatorSpec,
     LogisticFit,
     ShrinkageParams,
+    SpectralDecomposition,
     batch_estimates,
     choose_d,
     choose_k,
     choose_k_batch,
+    filter_factors,
     ltl_estimate,
     mle_estimate,
     pclr_estimate,
@@ -312,6 +314,50 @@ class TestParameterRules:
         assert sel.value == 1e-4
 
 
+UNCONVERGED = LogisticFit(
+    beta=np.zeros(1), v_diag=np.array([0.25]), z=np.zeros(1), iterations=100,
+    converged=False, final_step_norm=1.0,
+)
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: SpectralDecomposition(np.ones((2, 3)), np.ones(2)),
+                         "T must be square", id="decomposition-not-square"),
+            pytest.param(lambda: SpectralDecomposition(np.eye(2), np.ones(3)),
+                         "lambdas length must match T", id="decomposition-length"),
+            pytest.param(lambda: SpectralDecomposition(np.eye(2), [1.0, 2.0]),
+                         "lambdas must be sorted descending", id="decomposition-order"),
+            pytest.param(lambda: SpectralDecomposition(np.eye(2), [2.0, 1.0]).split(3),
+                         "r must lie in [1, 2], got 3", id="split-r"),
+            pytest.param(lambda: ShrinkageParams(k=1.0, d=0.0, d_source="guess"),
+                         "unknown provenance 'guess'", id="params-provenance"),
+            pytest.param(lambda: select_components([1.0, 0.0], 0.75),
+                         "lambdas must be positive and sorted descending",
+                         id="components-lambdas"),
+            pytest.param(lambda: select_components([2.0, 1.0], 1.5),
+                         "ptv_threshold must lie in (0, 1]", id="components-ptv"),
+            pytest.param(lambda: filter_factors(EstimatorKind.PCLR, [2.0, 1.0], r=3),
+                         "r must lie in [1, 2], got 3", id="factors-r"),
+            pytest.param(lambda: point_estimate(UNCONVERGED, np.ones((2, 1)),
+                                                EstimatorSpec(EstimatorKind.ML)),
+                         "estimator requires a converged fit", id="point-unconverged"),
+            pytest.param(lambda: choose_d([1.0, 0.0]),
+                         "lambdas must be positive", id="choose-d-lambdas"),
+            pytest.param(lambda: choose_k([1.0, -1.0], [1.0, 1.0], 0.1),
+                         "lambdas must be positive", id="choose-k-lambdas"),
+            pytest.param(lambda: choose_k([1.0], [1.0, 1.0], 0.1),
+                         "lambdas and alpha_hat must have equal length",
+                         id="choose-k-length"),
+        ],
+    )
+    def test_rejects_with_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestSpecsAndDispatch:
     def test_spec_validation(self):
         params = ShrinkageParams(k=1.0, d=0.0)
@@ -331,6 +377,7 @@ class TestSpecsAndDispatch:
             (EstimatorKind.LTL, False, None, "LTL requires params"),
             (EstimatorKind.PCLR, False, None, "PCLR requires r"),
             (EstimatorKind.LTL, True, 2, "LTL takes no r"),
+            (EstimatorKind.PCLR, False, 0, "r must be at least 1"),
         ],
     )
     def test_spec_validation_messages(self, kind, with_params, r, message):

@@ -26,6 +26,7 @@ from liulogit import (
     theorem_3_3_condition,
     write_dataset,
 )
+import liulogit.io
 from liulogit import cli
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -92,6 +93,58 @@ class TestParseDataset:
             parse_dataset(path, has_header=has_header)
         assert err.value.line == line
         assert f"line {line}: byte 0x" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "content, has_header, message",
+        [
+            # a ragged line before a byte that is not UTF-8
+            (b"y,x1,x2\n1,0.5,0.1\n0,0.2\n1,0.3,0.4\n0,caf\xe9,0.1\n", True,
+             "line 3: expected 3 fields, got 2"),
+            # a non-finite cell before a ragged line
+            (b"1,0.5,0.1\n0,nan,0.2\n1,0.3\n", False, "line 2: non-finite cell"),
+            # the header sets the field count, so a short first row is named
+            (b"y,x1,x2\n0,0.1\n1,0.2,0.3\n", True,
+             "line 2: expected 3 fields, got 2"),
+            # a header narrower than its rows
+            (b"y,x1\n0,0.1,0.2\n1,0.2,0.3\n", True,
+             "line 2: expected 2 fields, got 3"),
+        ],
+        ids=["ragged-then-latin1", "nan-then-ragged", "short-first-row", "wide-rows"],
+    )
+    def test_first_fault_in_line_order_is_named(self, tmp_path, content, has_header,
+                                                message):
+        path = tmp_path / "faults.csv"
+        path.write_bytes(content)
+        with pytest.raises(DatasetFormatError) as err:
+            parse_dataset(path, has_header=has_header)
+        assert str(err.value) == message
+        assert err.value.line == int(message.split()[1].rstrip(":"))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"y,x1\n1,0.5\n0,0.2\n", None),
+            (b"y,x1\n1,0.5\n0,caf\xe9\n", "line 3: byte 0xe9 is not UTF-8 text"),
+            (b"y,x1\n1,0.5\n0,nan\n", "line 3: non-finite cell"),
+        ],
+        ids=["clean", "not-utf8", "non-finite"],
+    )
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, content, message):
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(liulogit.io, "open", counting_open, raising=False)
+        path = tmp_path / "once.csv"
+        path.write_bytes(content)
+        if message is None:
+            assert parse_dataset(path, has_header=True).n == 2
+        else:
+            with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+                parse_dataset(path, has_header=True)
+        assert opened == [path]
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -393,6 +446,19 @@ class TestFitCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_unreadable_input_is_data_error(self, toy_csv, monkeypatch, capsys,
+                                            command):
+        # the suite may run as root, for whom a chmod 000 file stays readable
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(liulogit.io, "open", denied, raising=False)
+        assert main([command, "--input", str(toy_csv)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: cannot read dataset file {toy_csv}: Permission denied\n"
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_output_into_missing_directory(self, toy_csv, tmp_path, capsys, command):
         out = tmp_path / "missing" / "report.txt"
         code = main([command, "--input", str(toy_csv), "--output", str(out)])
@@ -439,6 +505,19 @@ class TestSimulateCommand:
         assert (failure["n"], failure["p"], failure["rho"]) == (3, 2, 0.6)
         assert "all 4 replications diverged" in failure["error"]
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
+    def test_failed_cell_listed_on_stdout(self, tmp_path, capsys):
+        args = ["simulate", "--p", "2", "--n", "3", "--rho", "0.5,0.6",
+                "--reps", "4", "--seed", "3"]
+        assert main(args) == EXIT_NUMERIC
+        lines = capsys.readouterr().out.splitlines()
+        error = "all 4 replications diverged (n=3, p=2, rho=0.6)"
+        assert f"FAILED cell n=3 p=2 rho=0.6: {error}" in lines
+        assert json.loads(lines[-1])["failures"] == [
+            {"error": error, "n": 3, "p": 2, "rho": 0.6}
+        ]
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert lines[-1] + "\n" == (tmp_path / "study.json").read_text()
 
     def test_stdout_ends_with_study_json(self, tmp_path, capsys):
         args = ["simulate", "--p", "3", "--n", "80", "--rho", "0.8,0.9",

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -371,6 +372,28 @@ class TestIrlsFitBatch:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: predict_probabilities(np.ones(3), np.ones(3)),
+                         "design matrix must be 2-d, got shape (3,)", id="design-1d"),
+            pytest.param(lambda: predict_probabilities(np.ones((3, 2)), [[1.0], [1.0]]),
+                         "beta must be 1-d, got shape (2, 1)", id="beta-2d"),
+            pytest.param(lambda: Dataset(X=np.ones((3, 1)), y=np.array([0.0, 1.0])),
+                         "response length 2 != row count 3", id="dataset-length"),
+            pytest.param(lambda: predict_probabilities(np.ones((2, 1)), [np.nan]),
+                         "beta contains non-finite entries", id="beta-non-finite"),
+            pytest.param(lambda: log_likelihood([1.0, 0.0], [0.5]),
+                         "y and pi must have equal length", id="loglik-length"),
+            pytest.param(lambda: weight_diagonal([0.5, 1.0]),
+                         "probabilities must lie strictly inside (0, 1)",
+                         id="weights-range"),
+        ],
+    )
+    def test_rejects_with_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_dataset_rejects_nonbinary_response(self):
         with pytest.raises(ValueError):
             Dataset(X=np.ones((3, 1)), y=np.array([0.0, 1.0, 2.0]))

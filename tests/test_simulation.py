@@ -434,7 +434,28 @@ class TestRunCells:
         assert (err.value.n, err.value.p, err.value.rho) == (3, 2, 0.6)
 
 
+CELL = dict(n=100, p=4, rho=0.5)
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: SimulationConfig(ptv_threshold=0.0, **CELL),
+                         "ptv_threshold must lie in (0, 1]", id="ptv"),
+            pytest.param(lambda: SimulationConfig(min_components=0, **CELL),
+                         "min_components must be at least 1", id="min-components"),
+            pytest.param(lambda: SimulationConfig(components=5, **CELL),
+                         "components must lie in [1, 4]", id="components"),
+            pytest.param(lambda: StudyGrid(n_values=()),
+                         "n_values must be nonempty", id="grid-empty"),
+        ],
+    )
+    def test_rejects_with_message(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             SimulationConfig(n=4, p=4, rho=0.5)
