@@ -70,8 +70,9 @@ K_MIN = 1e-4
 class SpectralDecomposition:
     """Descending eigenpairs of the weighted cross-product matrix X'VX.
 
-    Columns of ``T`` are sign-fixed so the largest-magnitude entry of each
-    eigenvector is positive; ties in eigenvalues keep LAPACK's order.
+    ``T`` is (..., p, p) and ``lambdas`` (..., p) over any leading batch
+    axes.  Columns of ``T`` are sign-fixed so the largest-magnitude entry
+    of each eigenvector is positive; ties keep LAPACK's order.
     """
 
     T: np.ndarray
@@ -80,25 +81,34 @@ class SpectralDecomposition:
     def __post_init__(self):
         T = np.asarray(self.T, dtype=float)
         lam = np.asarray(self.lambdas, dtype=float)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
             raise ValueError("T must be square")
-        if lam.shape != (T.shape[0],):
+        if lam.shape != T.shape[:-1]:
             raise ValueError("lambdas length must match T")
-        if np.any(np.diff(lam) > 0):
+        if np.any(np.diff(lam, axis=-1) > 0):
             raise ValueError("lambdas must be sorted descending")
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "lambdas", lam)
 
     @property
     def p(self) -> int:
-        return self.lambdas.shape[0]
+        return self.lambdas.shape[-1]
+
+    @property
+    def positive_definite(self):
+        """Per system: lambda_min > 0, False for the NaNs of a non-finite X'VX."""
+        return self.lambdas[..., -1] > 0.0
+
+    def select(self, rows) -> "SpectralDecomposition":
+        """The systems of the given rows (index, index array or boolean mask)."""
+        return SpectralDecomposition(self.T[rows], self.lambdas[rows])
 
     def split(self, r: int) -> "ComponentSplit":
         return ComponentSplit(self, r)
 
     def reconstruct(self) -> np.ndarray:
         """T diag(lambda) T', the matrix that was decomposed."""
-        return (self.T * self.lambdas) @ self.T.T
+        return (self.T * self.lambdas[..., None, :]) @ self.T.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -118,19 +128,19 @@ class ComponentSplit:
 
     @property
     def t_r(self) -> np.ndarray:
-        return self.decomposition.T[:, : self.r]
+        return self.decomposition.T[..., : self.r]
 
     @property
     def lambdas_r(self) -> np.ndarray:
-        return self.decomposition.lambdas[: self.r]
+        return self.decomposition.lambdas[..., : self.r]
 
     @property
     def t_tail(self) -> np.ndarray:
-        return self.decomposition.T[:, self.r :]
+        return self.decomposition.T[..., self.r :]
 
     @property
     def lambdas_tail(self) -> np.ndarray:
-        return self.decomposition.lambdas[self.r :]
+        return self.decomposition.lambdas[..., self.r :]
 
 
 @dataclass(frozen=True)
@@ -210,18 +220,7 @@ class KSelection(NamedTuple):
     clamped: bool
 
 
-class BatchDecomposition(NamedTuple):
-    """Descending, sign-fixed eigenpairs of a stack of X'VX matrices.
-
-    ``T`` is (b, p, p) and ``lambdas`` (b, p); row 0 of a one-row stack is
-    what ``spectral_decompose`` returns.  ``positive_definite`` is False
-    for the rows where ``spectral_decompose`` raises
-    ``DecompositionError``; the eigenvalues of a non-finite X'VX are NaN.
-    """
-
-    T: np.ndarray
-    lambdas: np.ndarray
-    positive_definite: np.ndarray
+BatchDecomposition = SpectralDecomposition
 
 
 def spectral_decompose(X, v_diag) -> SpectralDecomposition:
@@ -238,10 +237,10 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
             f"X'VX not positive definite (smallest eigenvalue {smallest:.3e})",
             smallest_eigenvalue=smallest,
         )
-    return SpectralDecomposition(T=row.T[0], lambdas=row.lambdas[0])
+    return row.select(0)
 
 
-def spectral_decompose_batch(X, v_rows) -> BatchDecomposition:
+def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     """Descending, sign-fixed eigenpairs of X'VX for every weight row of v_rows.
 
     The package's one eigendecomposition: X'VX is formed by
@@ -263,7 +262,7 @@ def spectral_decompose_batch(X, v_rows) -> BatchDecomposition:
     anchor = np.argmax(np.abs(vec), axis=-2)
     vec = vec * np.sign(np.take_along_axis(vec, anchor[..., None, :], axis=-2))
     lam[~finite] = np.nan
-    return BatchDecomposition(T=vec, lambdas=lam, positive_definite=lam[:, -1] > 0.0)
+    return SpectralDecomposition(T=vec, lambdas=lam)
 
 
 def select_components(lambdas, ptv_threshold: float):
@@ -365,22 +364,14 @@ def choose_d(lambdas):
     return float(d) if d.ndim == 0 else d
 
 
-def choose_k(lambdas, alpha_hat, d: float) -> KSelection:
+def choose_k(lambdas, alpha_hat, d) -> KSelection:
     """Arithmetic-mean k rule over eigencoordinates of the ML fit.
 
     k = mean_j (lambda_j - d*(1 + lambda_j*alpha_j^2)) / (lambda_j*alpha_j^2),
     with |alpha_j| floored at ``ALPHA_FLOOR`` to avoid division blow-up.  A
-    nonpositive result is clamped to ``K_MIN`` and flagged.
-    ``choose_k_batch`` applies the same rule to many fits at once.
-    """
-    value, clamped = choose_k_batch(lambdas, alpha_hat, d)
-    return KSelection(float(value), bool(clamped))
-
-
-def choose_k_batch(lambdas, alpha_hat, d) -> KSelection:
-    """``choose_k`` over leading batch axes of lambdas, alpha_hat and d.
-
-    Both fields of the result are arrays of the batch shape.
+    nonpositive result is clamped to ``K_MIN`` and flagged.  ``lambdas``,
+    ``alpha_hat`` and ``d`` may carry leading batch axes; both fields are
+    then arrays of the batch shape, else a float and a bool.
     """
     lam = np.asarray(lambdas, dtype=float)
     alpha = np.asarray(alpha_hat, dtype=float)
@@ -392,7 +383,11 @@ def choose_k_batch(lambdas, alpha_hat, d) -> KSelection:
     alpha_sq = np.maximum(alpha**2, ALPHA_FLOOR**2)
     k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
     clamped = (k <= 0.0) | ~np.isfinite(k)
-    return KSelection(np.where(clamped, K_MIN, k), clamped)
+    k = np.where(clamped, K_MIN, k)
+    return KSelection(float(k), bool(clamped)) if k.ndim == 0 else KSelection(k, clamped)
+
+
+choose_k_batch = choose_k
 
 
 def select_parameters(
@@ -401,10 +396,10 @@ def select_parameters(
     """r, k and d for one fit or a stack, each by its rule unless given.
 
     r is ``select_components`` floored at ``min_components`` and capped at
-    p, d is ``choose_d``, and k is ``choose_k_batch`` at that d and the ML
-    eigencoordinates T'beta of ``beta`` (..., p).  ``decomp`` is a
-    ``SpectralDecomposition`` or a ``BatchDecomposition``.  Returns (r, k,
-    d, k_clamped) broadcast to its batch shape; a given k is never clamped.
+    p, d is ``choose_d``, and k is ``choose_k`` at that d and the ML
+    eigencoordinates T'beta of ``beta`` (..., p).  Returns (r, k, d,
+    k_clamped) broadcast to the batch shape of ``decomp``; a given k is
+    never clamped.
     """
     lam = decomp.lambdas
     p = lam.shape[-1]
@@ -417,11 +412,11 @@ def select_parameters(
     clamped = False
     if k is None:
         alpha = (decomp.T.swapaxes(-1, -2) @ np.asarray(beta)[..., None])[..., 0]
-        k, clamped = choose_k_batch(lam, alpha, d)
+        k, clamped = choose_k(lam, alpha, d)
     return tuple(np.broadcast_to(value, lam.shape[:-1]) for value in (r, k, d, clamped))
 
 
-def batch_estimates(fit: BatchFit, decomp: BatchDecomposition, r, k, d) -> dict:
+def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> dict:
     """The four estimators for a stack of converged fits, row by row.
 
     Row i is ``point_estimate`` for that row's fit and eigendecomposition,

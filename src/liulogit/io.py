@@ -44,7 +44,7 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
     1-based line; a file that cannot be opened or read names the OS reason.
     """
     path = Path(path)
-    if not path.is_file():
+    if not path.exists():
         raise DatasetFormatError(f"no such file: {path}")
     rows = []
     expected_fields = None

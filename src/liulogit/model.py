@@ -267,9 +267,10 @@ GRAM_CHUNK_BYTES = 1 << 18
 def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
 
-    Each matrix is its own (p x n)(n x p) product.  Rows go through in chunks whose scaled
-    copy of X' fits ``GRAM_CHUNK_BYTES`` (one row per chunk when a single
-    row needs more), so the temporary does not grow with the row count.
+    Each matrix is its own (p x n)(n x p) product.  Rows go through in
+    chunks whose scaled copy of X' fits ``GRAM_CHUNK_BYTES`` (one row per
+    chunk when a single row needs more), so the temporary does not grow
+    with the row count.
     """
     n, p = X.shape
     gram = np.empty((v_rows.shape[0], p, p))

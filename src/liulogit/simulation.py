@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import CellFailedError
 from .estimators import (
-    BatchDecomposition,
     EstimatorKind,
     batch_estimates,
     select_parameters,
@@ -274,7 +273,7 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         if not kept.any():
             continue
         fit = fit.select(kept)
-        decomp = BatchDecomposition(*(part[kept] for part in decomp))
+        decomp = decomp.select(kept)
         r, k, d, _ = select_parameters(
             decomp, fit.beta, config.ptv_threshold,
             r=config.components, min_components=config.min_components,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import liulogit
 from liulogit import (
     BatchFit,
     DecompositionError,
@@ -27,6 +28,7 @@ from liulogit import (
     spectral_decompose,
     spectral_decompose_batch,
 )
+from liulogit import estimators
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
 from _oracles import dense_decompose
@@ -330,6 +332,13 @@ class TestValidationMessages:
                          "lambdas length must match T", id="decomposition-length"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), [1.0, 2.0]),
                          "lambdas must be sorted descending", id="decomposition-order"),
+            pytest.param(lambda: SpectralDecomposition(np.stack([np.eye(2)] * 3),
+                                                       np.ones((2, 2))),
+                         "lambdas length must match T", id="stacked-decomposition-length"),
+            pytest.param(lambda: SpectralDecomposition(np.stack([np.eye(2)] * 3),
+                                                       [[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]]),
+                         "lambdas must be sorted descending",
+                         id="stacked-decomposition-order"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), [2.0, 1.0]).split(3),
                          "r must lie in [1, 2], got 3", id="split-r"),
             pytest.param(lambda: ShrinkageParams(k=1.0, d=0.0, d_source="guess"),
@@ -470,6 +479,55 @@ class TestBatchedSpectralCore:
     def test_rank_one_design_flagged(self):
         decomp = spectral_decompose_batch(np.ones((4, 2)), np.full((2, 4), 0.25))
         assert not decomp.positive_definite.any()
+
+    def test_one_type_and_one_k_rule(self):
+        for module in (liulogit, estimators):
+            assert module.BatchDecomposition is SpectralDecomposition
+            assert module.choose_k_batch is choose_k
+        assert {"BatchDecomposition", "choose_k_batch"} <= set(estimators.__all__)
+
+    def test_stacked_decomposition_and_row_selection(self):
+        _, _, decomp = batched_instance(120, 4, 0.9, 6, seed=47)
+        stacked = SpectralDecomposition(T=decomp.T, lambdas=decomp.lambdas)
+        assert stacked.T.shape == (6, 4, 4) and stacked.p == 4
+        mask = np.array([True, False, True, True, False, False])
+        for rows in (mask, np.flatnonzero(mask), 2):
+            picked = stacked.select(rows)
+            assert isinstance(picked, SpectralDecomposition)
+            assert np.array_equal(picked.T, decomp.T[rows])
+            assert np.array_equal(picked.lambdas, decomp.lambdas[rows])
+        assert stacked.select(2).split(2).t_r.shape == (4, 2)
+
+    def test_positive_definite_reads_smallest_eigenvalue(self):
+        lam = np.array([[2.0, 1.0], [np.nan, np.nan], [1.0, 0.0], [1.0, -1.0]])
+        decomp = SpectralDecomposition(T=np.stack([np.eye(2)] * 4), lambdas=lam)
+        assert decomp.positive_definite.tolist() == [True, False, False, False]
+        assert decomp.select(0).positive_definite
+
+    def test_stacked_reconstruct_is_each_row(self):
+        X, fit, decomp = batched_instance(150, 5, 0.99, 8, seed=48)
+        stacked = decomp.reconstruct()
+        assert stacked.shape == (8, 5, 5)
+        for i in range(8):
+            T, lam = decomp.T[i], decomp.lambdas[i]
+            want = T @ np.diag(lam) @ T.T
+            assert np.max(np.abs(stacked[i] - want)) <= 1e-12 * lam[0]
+            gram = X.T @ (fit.v_diag[i][:, None] * X)
+            assert np.max(np.abs(stacked[i] - gram)) <= 1e-10 * lam[0]
+
+    def test_choose_k_returns_by_input_rank(self):
+        rng = np.random.default_rng(49)
+        lam = np.sort(rng.uniform(0.01, 5.0, size=(12, 4)), axis=1)[:, ::-1]
+        alpha = rng.standard_normal((12, 4))
+        d = choose_d(lam) + np.where(np.arange(12) % 4 == 0, 0.9, 0.0)
+        batch = choose_k(lam, alpha, d)
+        assert batch.value.shape == batch.clamped.shape == (12,)
+        assert batch.clamped.any() and not batch.clamped.all()
+        for i in range(12):
+            single = choose_k(lam[i], alpha[i], d[i])
+            assert type(single.value) is float and type(single.clamped) is bool
+            assert batch.value[i] == pytest.approx(single.value, rel=1e-12)
+            assert batch.clamped[i] == single.clamped
 
     def test_rules_take_batch_axis(self):
         rng = np.random.default_rng(42)

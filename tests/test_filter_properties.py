@@ -157,7 +157,6 @@ def test_batch_rows_equal_point_estimates(rows):
     decomp = BatchDecomposition(
         T=np.stack([dec.T for dec in decomps]),
         lambdas=np.stack([dec.lambdas for dec in decomps]),
-        positive_definite=np.ones(b, dtype=bool),
     )
     estimates = batch_estimates(fit, decomp, np.array(rs), np.array(ks), np.array(ds))
     for i in range(b):

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +67,28 @@ class TestParseDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             parse_dataset(tmp_path / "absent.csv")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_reads_like_a_regular_file(self, tmp_path):
+        text = "y,x1,x2\n1,0.5,0.1\n0,-0.2,0.3\n1,1.1,-0.4\n"
+        regular = tmp_path / "data.csv"
+        regular.write_text(text)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w") as handle:
+                handle.write(text)
+
+        # a daemon writer: a reader that never opens the pipe leaves it
+        # blocked without holding up the suite
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        data = parse_dataset(pipe, has_header=True)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected = parse_dataset(regular, has_header=True)
+        assert np.array_equal(data.X, expected.X) and np.array_equal(data.y, expected.y)
 
     @pytest.mark.parametrize(
         "row", ["0,0.2,nan", "0,inf,0.3", "1,0.2,-inf", "NaN,0.2,0.3", "inf,0.1,0.1"]
@@ -456,6 +480,13 @@ class TestFitCommand:
         assert main([command, "--input", str(toy_csv)]) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: cannot read dataset file {toy_csv}: Permission denied\n"
+        )
+
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        # the path exists, so the message is the OS reason, not "no such file"
+        assert main(["fit", "--input", str(tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: cannot read dataset file {tmp_path}: "
         )
 
     @pytest.mark.parametrize("command", ["fit", "compare"])

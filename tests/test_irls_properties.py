@@ -1,10 +1,11 @@
-"""Property tests for the replication-batched IRLS loop.
+"""Property tests for the replication-batched IRLS loop and eigendecomposition.
 
 Each draw is one design, sometimes with a duplicated column, and a stack
 of responses mixing Bernoulli draws with completely separated, rare-event,
 all-zero and all-one rows, fitted under a drawn iteration cap and
 probability clip.  Every row of the stack must be bitwise what the same
-response gets alone, and must agree with the scalar oracle loop.
+response gets alone, and must agree with the scalar oracle loop.  The
+stacked eigendecomposition of X'VX keeps the same bitwise row contract.
 """
 
 from dataclasses import fields
@@ -13,7 +14,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liulogit import BatchFit, FitConfig, SingularSystemError, irls_fit_batch
+from liulogit import (
+    BatchFit,
+    FitConfig,
+    SingularSystemError,
+    irls_fit_batch,
+    spectral_decompose_batch,
+)
 
 from _oracles import scalar_irls
 from _util import correlated_design
@@ -21,6 +28,8 @@ from _util import correlated_design
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 RESPONSE_KINDS = ("bernoulli", "separated", "rare", "zero", "one")
+
+WEIGHT_KINDS = ("fitted", "indefinite", "nonfinite", "zero")
 
 
 def response_row(kind, X, rng):
@@ -77,3 +86,41 @@ def test_rows_are_independent_and_match_oracle(stack):
         assert batch.converged[i] == want.converged, i
         assert batch.iterations[i] == want.iterations, i
         assert np.max(np.abs(batch.beta[i] - want.beta)) <= 1e-10, i
+
+
+def weight_row(kind, n, rng):
+    v = rng.uniform(0.0, 0.25, size=n)
+    if kind == "indefinite":
+        v[: max(1, n // 2)] *= -1.0
+    elif kind == "nonfinite":
+        v[rng.integers(n)] = rng.choice([np.inf, np.nan])
+    elif kind == "zero":
+        v[:] = 0.0
+    return v
+
+
+@st.composite
+def weight_stacks(draw):
+    """(X, V): a design and a stack of weight rows, some not positive or finite."""
+    p = draw(st.integers(1, 12))
+    # at n = 1000 and 1500 ``stacked_gram`` splits the stack into chunks
+    n = draw(st.one_of(st.integers(p + 1, 60), st.sampled_from((1000, 1500))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = correlated_design(n, p, draw(st.sampled_from((0.0, 0.9, 0.999))), rng)
+    kinds = draw(st.lists(st.sampled_from(WEIGHT_KINDS), min_size=1, max_size=70))
+    return X, np.stack([weight_row(kind, n, rng) for kind in kinds])
+
+
+@PROPERTY_SETTINGS
+@given(weight_stacks())
+def test_decomposition_rows_are_independent(stack):
+    X, V = stack
+    # an infinite weight can set the invalid-value flag inside the X'VX
+    # product; this property is about the bits of each row
+    with np.errstate(invalid="ignore"):
+        batch = spectral_decompose_batch(X, V)
+        rows = [spectral_decompose_batch(X, V[i : i + 1]) for i in range(V.shape[0])]
+    for i, alone in enumerate(rows):
+        for name in ("T", "lambdas"):
+            got = getattr(batch, name)[i]
+            assert np.array_equal(got, getattr(alone, name)[0], equal_nan=True), (i, name)
