@@ -34,7 +34,7 @@ print("eigenvalues:", decomp.lambdas, " retained r =", split.r)
 print(f"k = {params.k}, d = {params.d}, beta mixes axes 1 and 4\n")
 
 reports = {
-    kind: asymptotic_msem(spec, decomp, beta, "true_beta")
+    kind: asymptotic_msem(spec, decomp, beta)
     for kind, spec in [
         (EstimatorKind.ML, EstimatorSpec(EstimatorKind.ML)),
         (EstimatorKind.LTL, EstimatorSpec(EstimatorKind.LTL, params=params)),

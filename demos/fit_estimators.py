@@ -48,7 +48,7 @@ print(f"condition number: {decomp.lambdas[0] / decomp.lambdas[-1]:.1f}")
 r = select_components(decomp.lambdas, 0.75)
 d = choose_d(decomp.lambdas)
 k, clamped = choose_k(decomp.lambdas, decomp.T.T @ fit.beta, d)
-params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
+params = ShrinkageParams(k=k, d=d)
 print(f"\nselected r={r}, d={d:.4f}, k={k:.4f}" + (" (clamped)" if clamped else ""))
 
 # every estimator reuses decomp, so X'VX is decomposed once

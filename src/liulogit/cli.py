@@ -217,7 +217,6 @@ def build_parser() -> _Parser:
         default="pcltl:ml",
         help="comma list of comparisons, e.g. pcltl:ml,pcltl:pclr",
     )
-    comp.add_argument("--beta-source", choices=("plugin", "file"), default="plugin")
     comp.add_argument("--beta-file", default=None)
     _add_params_args(comp)
     comp.add_argument("--tol", type=float, default=1e-6)
@@ -253,11 +252,7 @@ def _fit_pipeline(args):
     r, k, d, clamped = select_parameters(
         decomp, fit.beta, args.ptv, r=args.r, k=args.k, d=args.d
     )
-    params = ShrinkageParams(
-        float(k), float(d),
-        k_source="rule" if args.k is None else "user",
-        d_source="rule" if args.d is None else "user",
-    )
+    params = ShrinkageParams(float(k), float(d))
     return dataset, fit, decomp, int(r), params, bool(clamped)
 
 
@@ -275,10 +270,10 @@ def _run_fit(args) -> int:
         "r": r,
         "r_source": "user" if args.r is not None else "rule",
         "k": params.k,
-        "k_source": params.k_source,
+        "k_source": "user" if args.k is not None else "rule",
         "k_clamped": clamped,
         "d": params.d,
-        "d_source": params.d_source,
+        "d_source": "user" if args.d is not None else "rule",
         "eigenvalues": [float(v) for v in lambdas],
         "condition_number": float(lambdas[0] / lambdas[-1]),
         "iterations": fit.iterations,
@@ -372,13 +367,7 @@ def _read_beta_file(path: str) -> np.ndarray:
 
 
 def _run_compare(args) -> int:
-    beta = None
-    if args.beta_source == "file":
-        if not args.beta_file:
-            raise ValueError("--beta-source file needs --beta-file")
-        beta = _read_beta_file(args.beta_file)
-    elif args.beta_file:
-        raise ValueError("--beta-file needs --beta-source file")
+    beta = None if args.beta_file is None else _read_beta_file(args.beta_file)
     dataset, fit, decomp, r, params, _ = _fit_pipeline(args)
     split = decomp.split(r)
     if beta is None:
@@ -391,9 +380,7 @@ def _run_compare(args) -> int:
         beta_source = "true_beta"
 
     reports = {
-        kind: asymptotic_msem(
-            EstimatorSpec.of(kind, params, r), decomp, beta, beta_source
-        )
+        kind: asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta)
         for kind in set().union(*args.pair)
     }
     rows = []

@@ -145,21 +145,16 @@ class ComponentSplit:
 
 @dataclass(frozen=True)
 class ShrinkageParams:
-    """Biasing parameters k > 0 and d, with provenance per parameter."""
+    """Biasing parameters k > 0 and d; the caller records where each came from."""
 
     k: float
     d: float
-    k_source: str = "user"
-    d_source: str = "user"
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0.0):
             raise ValueError("k must be positive")
         if not np.isfinite(self.d):
             raise ValueError("d must be finite")
-        for source in (self.k_source, self.d_source):
-            if source not in ("user", "rule"):
-                raise ValueError(f"unknown provenance {source!r}")
 
 
 class EstimatorKind(enum.Enum):
@@ -248,7 +243,8 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     stacked ``eigh``.
     """
     A = stacked_gram(np.asarray(X, dtype=float), np.asarray(v_rows, dtype=float))
-    A = 0.5 * (A + A.swapaxes(-1, -2))
+    with np.errstate(over="ignore"):
+        A = 0.5 * (A + A.swapaxes(-1, -2))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     # non-finite rows are decomposed as the identity, then lose their
     # eigenvalues

@@ -275,9 +275,11 @@ def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     n, p = X.shape
     gram = np.empty((v_rows.shape[0], p, p))
     chunk = max(1, GRAM_CHUNK_BYTES // (8 * n * p))
-    for lo in range(0, v_rows.shape[0], chunk):
-        hi = lo + chunk
-        np.matmul(X.T[None] * v_rows[lo:hi, None, :], X, out=gram[lo:hi])
+    # inf/nan entries are for the callers to report, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, v_rows.shape[0], chunk):
+            hi = lo + chunk
+            np.matmul(X.T[None] * v_rows[lo:hi, None, :], X, out=gram[lo:hi])
     return gram
 
 

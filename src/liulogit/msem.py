@@ -59,11 +59,6 @@ class MsemReport:
     covariance: np.ndarray
     msem: np.ndarray
     smse: float
-    beta_source: str
-
-    def __post_init__(self):
-        if self.beta_source not in ("true_beta", "plug_in_mle"):
-            raise ValueError(f"unknown beta_source {self.beta_source!r}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +106,12 @@ def asymptotic_msem(
     spec: EstimatorSpec,
     decomp: SpectralDecomposition,
     beta,
-    beta_source: str = "plug_in_mle",
 ) -> MsemReport:
     """Closed-form asymptotic MSEM report for one estimator.
 
     ``beta`` is the coefficient vector the bias formulas are evaluated at:
     the true coefficients in simulation settings, the plugged-in ML fit in
-    data analysis.  ``beta_source`` records which one was supplied.
+    data analysis.  The caller records which (``compare``: ``beta_source``).
     """
     beta = _beta_vector(beta, decomp.p)
     T, lam = decomp.T, decomp.lambdas
@@ -131,7 +125,6 @@ def asymptotic_msem(
         covariance=cov,
         msem=msem,
         smse=float(np.trace(msem)),
-        beta_source=beta_source,
     )
 
 

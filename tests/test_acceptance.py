@@ -326,7 +326,7 @@ def test_criterion_8_empirical_msem():
         outer = errors[:, :, None] * errors[:, None, :]
         empirical = outer.mean(axis=0)
         se = outer.std(axis=0) / np.sqrt(draws)
-        closed = asymptotic_msem(spec, decomp, beta, "true_beta").msem
+        closed = asymptotic_msem(spec, decomp, beta).msem
         sigmas = np.abs(empirical - closed) / (se + 1e-15)
         worst_sigma = max(worst_sigma, float(sigmas.max()))
         assert np.all(np.abs(empirical - closed) <= 3.0 * se + 1e-12), name

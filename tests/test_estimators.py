@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ class TestSpectralDecompose:
         v[2] = np.inf
         with pytest.raises(DecompositionError, match="non-finite entries"):
             spectral_decompose(np.eye(4) + 1.0, v)
+
+    @pytest.mark.parametrize(
+        "n, p, weight, scale",
+        [
+            # one infinite weight: the product's sums can meet inf - inf
+            (500, 6, np.inf, 1.0),
+            # a column whose squares overflow
+            (100, 3, 0.25, 1e200),
+            # finite X'VX entries whose symmetrized sum overflows
+            (100, 3, 0.25, 2.2e153),
+        ],
+        ids=["inf-weight", "overflow-1e200", "overflow-2.2e153"],
+    )
+    def test_nonfinite_is_an_error_not_a_warning(self, n, p, weight, scale):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((n, p))
+        X[:, 1] *= scale
+        v = rng.random(n)
+        v[n // 2] = weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecompositionError, match="non-finite entries"):
+                spectral_decompose(X, v)
 
 
 class TestSelectComponents:
@@ -341,8 +365,6 @@ class TestValidationMessages:
                          id="stacked-decomposition-order"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), [2.0, 1.0]).split(3),
                          "r must lie in [1, 2], got 3", id="split-r"),
-            pytest.param(lambda: ShrinkageParams(k=1.0, d=0.0, d_source="guess"),
-                         "unknown provenance 'guess'", id="params-provenance"),
             pytest.param(lambda: select_components([1.0, 0.0], 0.75),
                          "lambdas must be positive and sorted descending",
                          id="components-lambdas"),

@@ -1,6 +1,8 @@
 import json
 import os
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from liulogit import (
 import liulogit.io
 from liulogit import cli
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+
+from _util import correlated_design
 
 
 class TestParseDataset:
@@ -287,6 +291,21 @@ class TestFitCommand:
         pcltl = np.array(report["coefficients"]["pcltl"])
         assert np.max(np.abs(ltl - pcltl)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "flags, k_source, d_source",
+        [
+            ([], "rule", "rule"),
+            (["--k", "0.9"], "user", "rule"),
+            (["--d", "0.2"], "rule", "user"),
+            (["--k", "0.9", "--d", "0.2"], "user", "user"),
+        ],
+    )
+    def test_parameter_sources(self, toy_csv, capsys, flags, k_source, d_source):
+        code = main(["fit", "--input", str(toy_csv), *flags, "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["k_source"], report["d_source"]) == (k_source, d_source)
+
     def test_report_contents(self, toy_csv, capsys):
         code = main(["fit", "--input", str(toy_csv), "--format", "json"])
         assert code == EXIT_OK
@@ -345,6 +364,9 @@ class TestFitCommand:
              "n_values lists 200 more than once"),
             (["simulate", "--rho", "0.9,0.9", "--reps", "2"],
              "rho_values lists 0.9 more than once"),
+            # --beta-file alone chooses the coefficient vector
+            (["compare", "--input", "{csv}", "--beta-source", "file"],
+             "unrecognized arguments: --beta-source file"),
         ],
     )
     def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
@@ -410,6 +432,20 @@ class TestFitCommand:
         assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+    def test_overflowing_design_is_one_numerical_failure(self, toy_csv, tmp_path,
+                                                          capsys):
+        # x2 scaled by 1e200 overflows X'VX: an exit code, not a RuntimeWarning
+        data = parse_dataset(toy_csv)
+        path = tmp_path / "overflow.csv"
+        write_dataset(Dataset(X=data.X * [1.0, 1e200, 1.0], y=data.y), path,
+                      header=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numerical failure: X'VX singular or IRLS step non-finite at iteration 1\n"
+        )
 
     def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
         assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
@@ -699,7 +735,7 @@ class TestCompareCommand:
         beta_file.write_text("\n".join(repr(float(v)) for v in beta))
         code = main([
             "compare", "--input", str(toy_csv), "--pair", "pcltl:ltl",
-            "--beta-source", "file", "--beta-file", str(beta_file),
+            "--beta-file", str(beta_file),
             "--r", "2", "--format", "json",
         ])
         assert code == EXIT_OK
@@ -731,19 +767,38 @@ class TestCompareCommand:
         assert main(args + ["pcltl:ml,"]) == EXIT_OK
         assert capsys.readouterr().out == single
 
-    def test_beta_file_required_before_reading_data(self, tmp_path, capsys):
-        code = main(["compare", "--input", str(tmp_path / "absent.csv"),
-                     "--beta-source", "file"])
-        assert code == EXIT_USAGE
-        assert "--beta-source file needs --beta-file" in capsys.readouterr().err
-
-    def test_lone_beta_file_rejected_before_reading_data(self, tmp_path, capsys):
+    def test_lone_beta_file_selects_true_beta(self, toy_csv, tmp_path, capsys):
+        beta = np.array([0.5, -0.25, 0.125])
         beta_file = tmp_path / "beta.txt"
-        beta_file.write_text("0.1\n")
+        beta_file.write_text("\n".join(repr(float(v)) for v in beta))
+        code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml,ltl:pclr",
+                     "--r", "2", "--k", "0.9", "--d", "0.2", "--beta-file",
+                     str(beta_file), "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["beta_source"] == "true_beta"
+        assert [row["beta_source"] for row in report["comparisons"]] == ["true_beta"] * 2
+
+        data = parse_dataset(toy_csv)
+        decomp = spectral_decompose(data.X, irls_fit(data).v_diag)
+        params = ShrinkageParams(k=0.9, d=0.2)
+        smse = {
+            kind.value: asymptotic_msem(EstimatorSpec.of(kind, params, 2), decomp, beta).smse
+            for kind in EstimatorKind
+        }
+        for row in report["comparisons"]:
+            challenger, incumbent = row["pair"].split(":")
+            assert (row["smse_challenger"], row["smse_incumbent"]) == (
+                smse[challenger], smse[incumbent],
+            )
+
+    def test_empty_beta_file_name_rejected_before_reading_data(self, tmp_path, capsys):
+        # an empty name is a file that cannot be read, not a plug-in run
         code = main(["compare", "--input", str(tmp_path / "absent.csv"),
-                     "--beta-file", str(beta_file)])
-        assert code == EXIT_USAGE
-        assert "--beta-file needs --beta-source file" in capsys.readouterr().err
+                     "--beta-file", ""])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: cannot read beta file : not found\n"
+
 
     @pytest.mark.parametrize("pair", ALL_PAIRS)
     def test_every_pair_reads_its_theorem(self, toy_csv, capsys, pair):
@@ -833,8 +888,7 @@ class TestCompareCommand:
         path = tmp_path / "beta.txt"
         if content is not None:
             path.write_text(content)
-        code = main(["compare", "--input", str(toy_csv), "--beta-source", "file",
-                     "--beta-file", str(path)])
+        code = main(["compare", "--input", str(toy_csv), "--beta-file", str(path)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert message.format(path=path) in err
@@ -846,6 +900,74 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         header = out.splitlines()[0].split("\t")
         assert header[0] == "pair" and "smse_challenger" in header
+
+
+PINNED_REPORTS = json.loads(
+    (Path(__file__).parent / "cli_reports.json").read_text(encoding="utf-8")
+)
+
+
+def _assert_report_matches(got, want, where="report"):
+    """Keys, strings, ints, bools and nulls exactly; floats to 1e-9 relative."""
+    assert type(got) is type(want), f"{where}: {got!r} is not like {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{where}: keys differ"
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        # the last IRLS step is about 3e-7 long, so rounding in the score
+        # moves its norm by up to 3e-9 relative between OpenBLAS kernels;
+        # every other float here moves by less than 1e-12
+        rel = 1e-6 if where.endswith(".final_step_norm") else 1e-9
+        assert got == pytest.approx(want, rel=rel, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.fixture()
+def single_factor_csv(tmp_path):
+    """300 x 4 covariates sharing one factor (rho = 0.95), seed 11."""
+    rng = np.random.default_rng(11)
+    X = correlated_design(300, 4, 0.95, rng)
+    eta = X @ np.array([0.6, -0.3, 0.2, 0.1])
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    path = tmp_path / "factor.csv"
+    write_dataset(Dataset(X=X, y=y), path, header=False)
+    return path
+
+
+class TestPinnedReports:
+    """``fit`` and ``compare`` reports against ``cli_reports.json``.
+
+    The file holds the reports of the commands below, without their
+    ``version``, as printed before ``compare`` lost ``--beta-source``
+    (its β-file run then took ``--beta-source file``).
+    """
+
+    PAIRS = ["--pair", "pcltl:ml,pcltl:pclr,pcltl:ltl,ltl:ml"]
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("fit_rules", ["fit"]),
+            ("fit_user", ["fit", "--r", "2", "--k", "0.7", "--d", "0.1"]),
+            ("compare_plug_in", ["compare", *PAIRS]),
+            ("compare_beta_file", ["compare", *PAIRS, "--beta-file", "{beta}"]),
+        ],
+    )
+    def test_report_is_pinned(self, single_factor_csv, tmp_path, capsys, name, argv):
+        beta = tmp_path / "beta.txt"
+        beta.write_text("0.5\n-0.25\n0.5\n0.0\n")
+        argv = [token.format(beta=beta) for token in argv]
+        code = main([*argv, "--input", str(single_factor_csv), "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("version") == liulogit.__version__
+        _assert_report_matches(report, PINNED_REPORTS[name], name)
 
 
 class TestConfigFile:

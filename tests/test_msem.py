@@ -98,9 +98,7 @@ class TestPcltlCovariance:
 class TestAsymptoticMsem:
     def test_ml_diagonal_example(self):
         decomp = SpectralDecomposition(T=np.eye(2), lambdas=np.array([4.0, 2.0]))
-        report = asymptotic_msem(
-            EstimatorSpec(EstimatorKind.ML), decomp, np.zeros(2), "true_beta"
-        )
+        report = asymptotic_msem(EstimatorSpec(EstimatorKind.ML), decomp, np.zeros(2))
         assert np.allclose(report.msem, np.diag([0.25, 0.5]))
         assert report.smse == pytest.approx(0.75)
         assert np.allclose(report.bias, 0.0)
@@ -180,20 +178,8 @@ class TestAsymptoticMsem:
             outer = errors[:, :, None] * errors[:, None, :]
             empirical = outer.mean(axis=0)
             se = outer.std(axis=0) / np.sqrt(draws)
-            closed = asymptotic_msem(spec, decomp, beta, "true_beta").msem
+            closed = asymptotic_msem(spec, decomp, beta).msem
             assert np.all(np.abs(empirical - closed) <= 3.0 * se + 1e-12), name
-
-    def test_beta_source_recorded(self):
-        rng = np.random.default_rng(38)
-        decomp = random_decomposition(3, rng)
-        report = asymptotic_msem(
-            EstimatorSpec(EstimatorKind.ML), decomp, np.zeros(3), "true_beta"
-        )
-        assert report.beta_source == "true_beta"
-        with pytest.raises(ValueError):
-            asymptotic_msem(
-                EstimatorSpec(EstimatorKind.ML), decomp, np.zeros(3), "guess"
-            )
 
 
 class TestSmse:

@@ -97,7 +97,7 @@ def reference_cell(config, keep_estimates=False):
         split = decomp.split(r)
         d = choose_d(decomp.lambdas)
         k, _ = choose_k(decomp.lambdas, decomp.T.T @ fit.beta, d)
-        params = ShrinkageParams(k=k, d=d, k_source="rule", d_source="rule")
+        params = ShrinkageParams(k=k, d=d)
         estimates = {
             EstimatorKind.ML: fit.beta,
             EstimatorKind.LTL: point_estimate(
