@@ -238,10 +238,13 @@ def _add_params_args(parser):
     parser.add_argument("--ptv", type=float, default=0.75)
 
 
-def _fit_pipeline(args):
-    dataset = parse_dataset(
+def _read_dataset(args):
+    return parse_dataset(
         args.input, has_header=args.has_header, response_column=args.response_col
     )
+
+
+def _fit_pipeline(args, dataset):
     fit = irls_fit(dataset, FitConfig(tolerance=args.tol))
     if not fit.converged:
         raise SingularSystemError(
@@ -253,11 +256,12 @@ def _fit_pipeline(args):
         decomp, fit.beta, args.ptv, r=args.r, k=args.k, d=args.d
     )
     params = ShrinkageParams(float(k), float(d))
-    return dataset, fit, decomp, int(r), params, bool(clamped)
+    return fit, decomp, int(r), params, bool(clamped)
 
 
 def _run_fit(args) -> int:
-    dataset, fit, decomp, r, params, clamped = _fit_pipeline(args)
+    dataset = _read_dataset(args)
+    fit, decomp, r, params, clamped = _fit_pipeline(args, dataset)
     coefficients = {
         kind.value: point_estimate(
             fit, dataset.X, EstimatorSpec.of(kind, params, r), decomp
@@ -368,16 +372,15 @@ def _read_beta_file(path: str) -> np.ndarray:
 
 def _run_compare(args) -> int:
     beta = None if args.beta_file is None else _read_beta_file(args.beta_file)
-    dataset, fit, decomp, r, params, _ = _fit_pipeline(args)
-    split = decomp.split(r)
-    if beta is None:
-        beta, beta_source = fit.beta, "plug_in_mle"
-    elif beta.shape != (dataset.p,):
+    dataset = _read_dataset(args)
+    # a wrong-length file is reported before IRLS runs
+    if beta is not None and beta.shape != (dataset.p,):
         raise DatasetFormatError(
             f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
         )
-    else:
-        beta_source = "true_beta"
+    fit, decomp, r, params, _ = _fit_pipeline(args, dataset)
+    split = decomp.split(r)
+    beta, beta_source = (fit.beta, "plug_in_mle") if beta is None else (beta, "true_beta")
 
     reports = {
         kind: asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta)

@@ -1,18 +1,18 @@
 """Asymptotic bias, covariance and mean-squared-error-matrix analysis.
 
 An estimator T diag(g) T' b_ml with filter factors g
-(``estimators.filter_factors``) has asymptotic covariance
-``T diag(g^2/lambda) T'``, bias ``T diag(g - 1) T' beta`` and error
-matrix ``MSEM = Cov + bias bias'``, whose trace is the scalar MSE.
-Estimator A beats estimator B under the matrix criterion when
-``MSEM(B) - MSEM(A)`` is nonnegative definite.  Every closed-form
-dominance verdict below records a direct eigenvalue test of that
-difference, because the conditions of Theorems 3.2 and 3.3 are
-sufficient, not necessary: a "does not hold" verdict can sit beside a
-difference that is still nonnegative definite.  ``theorem_condition``
-gives the verdict of whichever theorem covers a (challenger, incumbent)
-pair; a T3.1 verdict whose precondition fails carries no condition
-value and no verdict.
+(``estimators.filter_factors``) has, in eigen-coordinates, asymptotic
+covariance ``diag(g^2/lambda)`` and bias ``u = (g - 1) T' beta``, so its
+error matrix is ``MSEM = T (diag(g^2/lambda) + u u') T'``, whose trace
+is the scalar MSE.  Estimator A beats estimator B under the matrix
+criterion when ``MSEM(B) - MSEM(A)``, ``T (D + u u' - w w') T'`` with D
+diagonal, is nonnegative definite.  Every closed-form dominance verdict
+below records a direct eigenvalue test of that difference, because the
+conditions of Theorems 3.2 and 3.3 are sufficient, not necessary: a
+"does not hold" verdict can sit beside a difference that is still
+nonnegative definite.  ``theorem_condition`` gives the verdict of
+whichever theorem covers a (challenger, incumbent) pair; a T3.1 verdict
+whose precondition fails carries no condition value and no verdict.
 """
 
 from __future__ import annotations
@@ -102,6 +102,12 @@ def _beta_vector(beta, p: int) -> np.ndarray:
     return beta
 
 
+def _error_terms(spec: EstimatorSpec, decomp: SpectralDecomposition, beta):
+    """Eigen-coordinate variances g^2/lambda and bias u = (g - 1) T' beta."""
+    g = spec.factors(decomp.lambdas)
+    return g**2 / decomp.lambdas, (g - 1.0) * (decomp.T.T @ beta)
+
+
 def asymptotic_msem(
     spec: EstimatorSpec,
     decomp: SpectralDecomposition,
@@ -114,10 +120,9 @@ def asymptotic_msem(
     data analysis.  The caller records which (``compare``: ``beta_source``).
     """
     beta = _beta_vector(beta, decomp.p)
-    T, lam = decomp.T, decomp.lambdas
-    g = spec.factors(lam)
-    cov = (T * (g**2 / lam)) @ T.T
-    bias = T @ ((g - 1.0) * (T.T @ beta))
+    variances, u = _error_terms(spec, decomp, beta)
+    cov = (decomp.T * variances) @ decomp.T.T
+    bias = decomp.T @ u
     msem = cov + np.outer(bias, bias)
     return MsemReport(
         estimator=spec,
@@ -133,52 +138,46 @@ def smse(report: MsemReport) -> float:
     return float(np.trace(report.msem))
 
 
-def psd_dominates(msem_a, msem_b, strict: bool = False) -> DominanceVerdict:
+def _smallest_eigenvalue(sym) -> tuple[float, float]:
+    """Smallest eigenvalue of a symmetric matrix, and its largest magnitude."""
+    eigs = np.linalg.eigvalsh(sym)
+    return (float(eigs[0]), float(np.max(np.abs(eigs)))) if eigs.size else (0.0, 0.0)
+
+
+def psd_dominates(msem_a, msem_b) -> DominanceVerdict:
     """Direct test that ``msem_a - msem_b`` is nonnegative definite.
 
     A true verdict means the estimator behind ``msem_b`` is at least as
     good as the one behind ``msem_a`` under the matrix criterion: the
-    smallest eigenvalue of the difference is at least ``-PSD_TOL`` times
-    its scale.  With ``strict=True`` it must clear ``+PSD_TOL`` times the
-    scale instead, so knife-edge differences count as not dominating.
+    difference's smallest eigenvalue is at least ``-PSD_TOL`` times its scale.
     """
     A = np.asarray(msem_a, dtype=float)
     B = np.asarray(msem_b, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrices must be square and of equal shape")
     diff = A - B
-    diff = 0.5 * (diff + diff.T)
-    eigs = np.linalg.eigvalsh(diff)
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    smallest = float(eigs[0]) if eigs.size else 0.0
-    if strict:
-        holds = bool(smallest > PSD_TOL * scale)
-    else:
-        holds = bool(smallest >= -PSD_TOL * scale)
-    return DominanceVerdict(
-        theorem="direct_psd",
-        condition_value=smallest,
-        holds=holds,
-    )
+    smallest, scale = _smallest_eigenvalue(0.5 * (diff + diff.T))
+    return DominanceVerdict("direct_psd", smallest, bool(smallest >= -PSD_TOL * scale))
 
 
 def _checked_verdict(theorem, value, holds, incumbent, beta, split, params):
     """A closed-form verdict of PCLTL against ``incumbent``, oracle-checked.
 
-    The direct test's tolerance is matched to the claim: a superiority
-    claim must pass the tolerance-relaxed test, a non-superiority claim
-    must fail the strict one.  That keeps exact-arithmetic boundary cases
-    (differences that are singular rather than indefinite) from being
-    scored as disagreements.
+    The oracle takes the eigenvalues of MSEM(incumbent) - MSEM(PCLTL) as
+    those of ``D + u u' - w w'``, since T is orthogonal.  A superiority
+    claim must reach ``-PSD_TOL`` times their scale, a denial must not
+    exceed ``+PSD_TOL`` times it, so a singular (not indefinite)
+    difference is not scored as a disagreement.
     """
-    incumbent_msem, pcltl_msem = (
-        asymptotic_msem(
-            EstimatorSpec.of(kind, params, split.r), split.decomposition, beta
-        ).msem
+    (var_inc, u), (var_pcltl, w) = (
+        _error_terms(EstimatorSpec.of(kind, params, split.r), split.decomposition, beta)
         for kind in (incumbent, EstimatorKind.PCLTL)
     )
-    direct = psd_dominates(incumbent_msem, pcltl_msem, strict=not holds)
-    return DominanceVerdict(theorem, value, holds, direct.holds == holds)
+    smallest, scale = _smallest_eigenvalue(
+        np.diag(var_inc - var_pcltl) + np.outer(u, u) - np.outer(w, w)
+    )
+    agrees = smallest >= -PSD_TOL * scale if holds else smallest <= PSD_TOL * scale
+    return DominanceVerdict(theorem, value, holds, agrees)
 
 
 def _span_verdict(theorem, basis, incumbent, beta, split, params):

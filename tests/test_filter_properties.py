@@ -26,9 +26,11 @@ from liulogit import (
     point_estimate,
     psd_dominates,
     smse,
+    theorem_3_1_condition,
     theorem_3_2_condition,
     theorem_3_3_condition,
 )
+from liulogit.msem import PSD_TOL
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -181,6 +183,31 @@ def proper_splits(draw):
     return decomp.split(draw(st.integers(1, p - 1))), beta, ShrinkageParams(k=k, d=d)
 
 
+def dense_difference(incumbent, split, beta, params):
+    """MSEM(incumbent), MSEM(PCLTL) and the eigenvalues of their difference."""
+    decomp = split.decomposition
+    msem_a = asymptotic_msem(incumbent, decomp, beta).msem
+    msem_b = asymptotic_msem(
+        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
+    ).msem
+    diff = msem_a - msem_b
+    return msem_a, msem_b, np.linalg.eigvalsh(0.5 * (diff + diff.T))
+
+
+def assert_claim_matched_agreement(verdict, eigs):
+    """``psd_oracle_agrees`` follows the claim-matched rule on the dense eigenvalues.
+
+    A claim that PCLTL wins must reach -PSD_TOL times the scale; a denial
+    must not exceed +PSD_TOL times it.
+    """
+    scale = float(np.max(np.abs(eigs)))
+    if verdict.holds:
+        expected = eigs[0] >= -PSD_TOL * scale
+    else:
+        expected = eigs[0] <= PSD_TOL * scale
+    assert verdict.psd_oracle_agrees == expected
+
+
 def assert_verdict_matches_psd_oracle(
     theorem, incumbent, claimed_span, split, beta, params, on_span
 ):
@@ -192,19 +219,25 @@ def assert_verdict_matches_psd_oracle(
     """
     if on_span:
         beta = claimed_span @ (claimed_span.T @ beta)
-    decomp = split.decomposition
-    msem_a = asymptotic_msem(incumbent, decomp, beta).msem
-    msem_b = asymptotic_msem(
-        EstimatorSpec(EstimatorKind.PCLTL, params=params, r=split.r), decomp, beta
-    ).msem
-    diff = msem_a - msem_b
-    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.T))
+    msem_a, msem_b, eigs = dense_difference(incumbent, split, beta, params)
     scale = float(np.max(np.abs(eigs)))
     assume(scale >= MARGIN * max(np.max(np.abs(msem_a)), np.max(np.abs(msem_b))))
     if not on_span:
         assume(eigs[0] <= -MARGIN * scale)
-    assert theorem(beta, split, params).holds == on_span
+    verdict = theorem(beta, split, params)
+    assert verdict.holds == on_span
     assert psd_dominates(msem_a, msem_b).holds == on_span
+    assert_claim_matched_agreement(verdict, eigs)
+
+
+@PROPERTY_SETTINGS
+@given(proper_splits())
+def test_theorem_3_1_agreement_follows_the_dense_rule(instance):
+    split, beta, params = instance
+    _, _, eigs = dense_difference(EstimatorSpec(EstimatorKind.ML), split, beta, params)
+    # rounding may move a smallest eigenvalue that sits on the tolerance
+    assume(not 0.5 <= abs(eigs[0]) / (PSD_TOL * np.max(np.abs(eigs))) <= 2.0)
+    assert_claim_matched_agreement(theorem_3_1_condition(beta, split, params), eigs)
 
 
 @PROPERTY_SETTINGS

@@ -31,6 +31,7 @@ from liulogit import (
     write_dataset,
 )
 import liulogit.io
+import liulogit.msem
 from liulogit import cli
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -723,6 +724,28 @@ class TestCompareCommand:
         # one report per estimator named in --pair, though pcltl is in all three
         assert len(calls) == 4 and set(calls) == set(EstimatorKind)
 
+    def test_three_theorem_pairs_form_four_msems_and_three_psd_tests(
+        self, toy_csv, monkeypatch, capsys
+    ):
+        # the theorems' oracle works in eigen-coordinates: every T-basis
+        # MSEM and dense PSD test is one of compare's own
+        calls = {"asymptotic_msem": 0, "psd_dominates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(liulogit.msem, name)
+            for module in (liulogit.msem, cli):
+                monkeypatch.setattr(module, name, counted(name, fn))
+        code = main(["compare", "--input", str(toy_csv),
+                     "--pair", "pcltl:ml,pcltl:pclr,pcltl:ltl"])
+        assert code == EXIT_OK
+        assert calls == {"asymptotic_msem": 4, "psd_dominates": 3}
+
     def test_beta_in_retained_span_satisfies_t33(self, toy_csv, tmp_path, capsys):
         # build a coefficient vector inside the retained eigenspace
         from liulogit import irls_fit, spectral_decompose
@@ -893,6 +916,20 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert message.format(path=path) in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_beta_length_is_checked_before_irls(self, tmp_path, capsys):
+        # y = 1[x1 > 0] is completely separated, so IRLS would not converge
+        rng = np.random.default_rng(72)
+        X = rng.standard_normal((300, 3))
+        data = tmp_path / "separated.csv"
+        write_dataset(Dataset(X=X, y=(X[:, 0] > 0).astype(float)), data, header=False)
+        beta = tmp_path / "beta.txt"
+        beta.write_text("0.5\n-0.25\n")
+        code = main(["compare", "--input", str(data), "--beta-file", str(beta)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: beta file {beta} must hold 3 values, got 2\n"
+        )
 
     def test_tsv_format(self, toy_csv, capsys):
         code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml"])
