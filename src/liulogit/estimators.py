@@ -96,8 +96,15 @@ class SpectralDecomposition:
 
     @property
     def positive_definite(self):
-        """Per system: lambda_min > 0, False for the NaNs of a non-finite X'VX."""
-        return self.lambdas[..., -1] > 0.0
+        """Per system: lambda_min > p * eps * lambda_max, a scale-relative test.
+
+        A smaller lambda_min is rounding, not evidence of a positive definite
+        X'VX: it is what a rank-deficient X'VX (collinear columns) or one
+        conditioned beyond 1/(p * eps) (badly scaled columns) decomposes to.
+        False for the NaNs of a non-finite X'VX.
+        """
+        lam = self.lambdas
+        return lam[..., -1] > self.p * np.finfo(float).eps * lam[..., 0]
 
     def select(self, rows) -> "SpectralDecomposition":
         """The systems of the given rows (index, index array or boolean mask)."""
@@ -224,12 +231,13 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
     The one-row case of ``spectral_decompose_batch``.
     """
     row = spectral_decompose_batch(X, np.asarray(v_diag, dtype=float)[None])
-    smallest = float(row.lambdas[0, -1])
+    largest, smallest = float(row.lambdas[0, 0]), float(row.lambdas[0, -1])
     if np.isnan(smallest):
         raise DecompositionError("X'VX contains non-finite entries")
     if not row.positive_definite[0]:
         raise DecompositionError(
-            f"X'VX not positive definite (smallest eigenvalue {smallest:.3e})",
+            f"X'VX numerically singular (smallest eigenvalue {smallest:.3e}, "
+            f"largest {largest:.3e}): collinear or badly scaled columns",
             smallest_eigenvalue=smallest,
         )
     return row.select(0)
@@ -238,13 +246,11 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
 def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     """Descending, sign-fixed eigenpairs of X'VX for every weight row of v_rows.
 
-    The package's one eigendecomposition: X'VX is formed by
-    ``stacked_gram`` for each row of v_rows (b, n) and all rows share one
-    stacked ``eigh``.
+    The package's one eigendecomposition: X'VX is formed, exactly
+    symmetric, by ``stacked_gram`` for each row of v_rows (b, n) and all
+    rows share one stacked ``eigh``.
     """
     A = stacked_gram(np.asarray(X, dtype=float), np.asarray(v_rows, dtype=float))
-    with np.errstate(over="ignore"):
-        A = 0.5 * (A + A.swapaxes(-1, -2))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     # non-finite rows are decomposed as the identity, then lose their
     # eigenvalues

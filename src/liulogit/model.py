@@ -260,26 +260,44 @@ class BatchFit:
         return BatchFit(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-# byte budget for the (rows, p, n) temporary of one stacked X'VX product
-GRAM_CHUNK_BYTES = 1 << 18
+# byte budget for the packed column products of one chunk of X's rows
+GRAM_CHUNK_BYTES = 1 << 20
 
 
 def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
 
-    Each matrix is its own (p x n)(n x p) product.  Rows go through in
-    chunks whose scaled copy of X' fits ``GRAM_CHUNK_BYTES`` (one row per
-    chunk when a single row needs more), so the temporary does not grow
-    with the row count.
+    The p(p+1)/2 entries on and above the diagonal are K v, with K the
+    packed column products x_ij x_il (j <= l): one matrix-vector product
+    per weight row, so each row's bits do not depend on the other rows.
+    X's rows go through in chunks whose K fits ``GRAM_CHUNK_BYTES``, and
+    the chunks' products are summed.  The result is exactly symmetric.
     """
     n, p = X.shape
-    gram = np.empty((v_rows.shape[0], p, p))
-    chunk = max(1, GRAM_CHUNK_BYTES // (8 * n * p))
+    m = p * (p + 1) // 2
+    chunk = min(n, max(1, GRAM_CHUNK_BYTES // (8 * m)))
+    # K's rows in the first m * chunk entries of one GRAM_CHUNK_BYTES
+    # buffer: one allocation size on every call, which keeps glibc's
+    # allocator from returning and re-faulting the pages of the IRLS
+    # temporaries (about 28 000 page faults per 30-replication grid in a
+    # fresh process, against 6 000)
+    K = np.empty(max(m * chunk, GRAM_CHUNK_BYTES // 8))[: m * chunk].reshape(m, chunk)
+    packed = np.zeros((v_rows.shape[0], m))
     # inf/nan entries are for the callers to report, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, v_rows.shape[0], chunk):
-            hi = lo + chunk
-            np.matmul(X.T[None] * v_rows[lo:hi, None, :], X, out=gram[lo:hi])
+        for lo in range(0, n, chunk):
+            XT = np.ascontiguousarray(X[lo : lo + chunk].T)
+            K_c = K[:, : XT.shape[1]]
+            # the rows of K in np.triu_indices order: x_j x_l for l >= j
+            top = 0
+            for j in range(p):
+                np.multiply(XT[j], XT[j:], out=K_c[top : top + p - j])
+                top += p - j
+            packed += np.matmul(K_c, v_rows[:, lo : lo + chunk, None])[..., 0]
+    rows, cols = np.triu_indices(p)
+    gram = np.empty((v_rows.shape[0], p, p))
+    gram[:, rows, cols] = packed
+    gram[:, cols, rows] = packed
     return gram
 
 
@@ -326,9 +344,10 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     accepted step is within the tolerance.  Every accepted step, the last
     included, adds its log-likelihood to the trace.  Rows leave the active
     set as they converge, stall or meet a singular system, which is
-    flagged in ``singular``.  Every matrix product is one row's product
-    with X, so no BLAS call grows with the number of rows and each row's
-    arithmetic is independent of the others.
+    flagged in ``singular``.  Every matrix product is one row's
+    matrix-vector product, with X or with the packed column products of
+    ``stacked_gram``, so no BLAS call grows with the number of rows and
+    each row's arithmetic is independent of the others.
     """
     X = _as_design(X)
     Y = np.asarray(Y, dtype=float)

@@ -12,6 +12,15 @@ def correlated_design(n, p, rho, rng):
     return np.sqrt(1.0 - rho**2) * z[:, :p] + rho * z[:, [p]]
 
 
+def newton_rounding(X, v):
+    """p eps cond(X'VX): the relative change of a Newton step that rounding
+    in X'VX can cause, at the weights v."""
+    lam = np.linalg.eigvalsh((X * v[:, None]).T @ X)
+    if lam[0] <= 0.0:
+        return np.inf
+    return X.shape[1] * np.finfo(float).eps * lam[-1] / lam[0]
+
+
 def random_dataset(n, p, rng, rho=0.4, beta_scale=0.8):
     """A well-conditioned logistic dataset with moderate signal."""
     X = correlated_design(n, p, rho, rng)
@@ -19,6 +28,17 @@ def random_dataset(n, p, rng, rho=0.4, beta_scale=0.8):
     pi = 1.0 / (1.0 + np.exp(-(X @ beta)))
     y = (rng.random(n) < pi).astype(float)
     return Dataset(X=X, y=y), beta
+
+
+def duplicated_column_data(seed):
+    """A logistic dataset (n 50-1500, p 2-5) whose design repeats a column."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(50, 1501)), int(rng.integers(2, 6))
+    X = rng.standard_normal((n, p))
+    X[:, rng.integers(1, p)] = X[:, 0]
+    beta = rng.standard_normal(p) / np.sqrt(p)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ beta)))).astype(float)
+    return Dataset(X=X, y=y)
 
 
 def tight_fit(dataset):

@@ -13,6 +13,7 @@ from liulogit import (
     EstimatorSpec,
     LogisticFit,
     ShrinkageParams,
+    SingularSystemError,
     SpectralDecomposition,
     batch_estimates,
     choose_d,
@@ -33,7 +34,7 @@ from liulogit import estimators
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
 from _oracles import dense_decompose
-from _util import correlated_design, random_dataset, tight_fit
+from _util import correlated_design, duplicated_column_data, random_dataset, tight_fit
 
 
 def synthetic_fit(beta, v_diag, z):
@@ -89,6 +90,28 @@ class TestSpectralDecompose:
         with pytest.raises(DecompositionError) as err:
             spectral_decompose(X, np.full(4, 0.25))
         assert err.value.smallest_eigenvalue <= 0.0
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_duplicated_column_is_never_a_usable_fit(self, seed):
+        # rounding in the packed X'VX can leave a positive smallest
+        # eigenvalue, but never one above p eps lambda_max
+        data = duplicated_column_data(seed)
+        try:
+            fit = irls_fit(data)
+        except SingularSystemError:
+            return
+        with pytest.raises(DecompositionError, match="numerically singular"):
+            spectral_decompose(data.X, fit.v_diag)
+
+    def test_singular_message_names_both_eigenvalues(self):
+        X = np.column_stack([np.arange(1.0, 5.0), np.arange(1.0, 5.0)])
+        with pytest.raises(DecompositionError) as err:
+            spectral_decompose(X, np.full(4, 0.25))
+        smallest, largest = err.value.smallest_eigenvalue, 2 * 0.25 * 30.0
+        assert str(err.value) == (
+            f"X'VX numerically singular (smallest eigenvalue {smallest:.3e}, "
+            f"largest {largest:.3e}): collinear or badly scaled columns"
+        )
 
     def test_reports_nonfinite(self):
         v = np.full(4, 0.25)

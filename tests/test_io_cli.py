@@ -35,7 +35,7 @@ import liulogit.msem
 from liulogit import cli
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
-from _util import correlated_design
+from _util import correlated_design, duplicated_column_data
 
 
 class TestParseDataset:
@@ -433,6 +433,15 @@ class TestFitCommand:
         assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_duplicated_column_is_one_numerical_failure(self, seed, tmp_path, capsys):
+        # whether IRLS or the eigendecomposition meets the singular X'VX
+        path = tmp_path / "duplicated.csv"
+        write_dataset(duplicated_column_data(seed), path, header=False)
+        assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
 
     def test_overflowing_design_is_one_numerical_failure(self, toy_csv, tmp_path,
                                                           capsys):

@@ -22,7 +22,7 @@ from liulogit import (
 from liulogit.model import _stable_loglik
 
 from _oracles import scalar_irls
-from _util import correlated_design, random_dataset, tight_fit
+from _util import correlated_design, newton_rounding, random_dataset, tight_fit
 
 LN3 = math.log(3.0)
 
@@ -230,14 +230,21 @@ class TestIrlsFit:
         assert np.max(np.abs(fit.beta - beta)) < 0.2
 
 
-def assert_fit_matches(fit, want):
-    """One fit (a LogisticFit or one BatchFit row) against the oracle's."""
+def assert_fit_matches(fit, want, X):
+    """One fit (a LogisticFit or one BatchFit row) against the oracle's.
+
+    The oracle sums X'VX in another order, so the iterates differ by
+    rounding that the Newton step amplifies by the condition number of
+    X'VX: the last step, often under 1e-9, is bounded by that.
+    """
     assert fit.iterations == want.iterations
     assert fit.converged == want.converged
     assert np.max(np.abs(fit.beta - want.beta)) <= 1e-10
     assert np.max(np.abs(fit.v_diag - want.v_diag)) <= 1e-10
+    rounding = newton_rounding(X, want.v_diag)
     np.testing.assert_allclose(
-        fit.final_step_norm, want.final_step_norm, rtol=1e-10, atol=0
+        fit.final_step_norm, want.final_step_norm, rtol=1e-10,
+        atol=10 * rounding * (np.max(np.abs(want.beta)) + want.final_step_norm),
     )
     got = np.asarray(fit.loglik_trace)
     np.testing.assert_allclose(
@@ -260,9 +267,9 @@ def assert_batch_matches_scalar(X, Y, config=FitConfig()):
             assert err.value.iteration == exc.iteration
             continue
         assert not batch.singular[i], i
-        assert_fit_matches(batch.select(i), want)
+        assert_fit_matches(batch.select(i), want, X)
         fit = irls_fit(Dataset(X, y), config)
-        assert_fit_matches(fit, want)
+        assert_fit_matches(fit, want, X)
         np.testing.assert_allclose(fit.z, want.z, rtol=1e-10, atol=1e-10)
     return batch
 
