@@ -276,11 +276,9 @@ def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     n, p = X.shape
     m = p * (p + 1) // 2
     chunk = min(n, max(1, GRAM_CHUNK_BYTES // (8 * m)))
-    # K's rows in the first m * chunk entries of one GRAM_CHUNK_BYTES
-    # buffer: one allocation size on every call, which keeps glibc's
-    # allocator from returning and re-faulting the pages of the IRLS
-    # temporaries (about 28 000 page faults per 30-replication grid in a
-    # fresh process, against 6 000)
+    # K fills the front of one GRAM_CHUNK_BYTES buffer on every call: that
+    # block size keeps glibc's malloc from unmapping and re-faulting the
+    # pages of the IRLS temporaries (page faults in BENCH_packed_gram.json)
     K = np.empty(max(m * chunk, GRAM_CHUNK_BYTES // 8))[: m * chunk].reshape(m, chunk)
     packed = np.zeros((v_rows.shape[0], m))
     # inf/nan entries are for the callers to report, not a RuntimeWarning
