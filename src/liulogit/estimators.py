@@ -96,15 +96,17 @@ class SpectralDecomposition:
 
     @property
     def positive_definite(self):
-        """Per system: lambda_min > p * eps * lambda_max, a scale-relative test.
+        """Per system: lambda_min > 10 p eps lambda_max, a scale-relative test.
 
         A smaller lambda_min is rounding, not evidence of a positive definite
         X'VX: it is what a rank-deficient X'VX (collinear columns) or one
-        conditioned beyond 1/(p * eps) (badly scaled columns) decomposes to.
-        False for the NaNs of a non-finite X'VX.
+        conditioned beyond 1/(10 p eps) (badly scaled columns) decomposes
+        to.  A repeated column's packed X'VX has decomposed to lambda_min up
+        to about 3.3 eps lambda_max, whatever p and n.  False for the NaNs
+        of a non-finite X'VX.
         """
         lam = self.lambdas
-        return lam[..., -1] > self.p * np.finfo(float).eps * lam[..., 0]
+        return lam[..., -1] > 10 * self.p * np.finfo(float).eps * lam[..., 0]
 
     def select(self, rows) -> "SpectralDecomposition":
         """The systems of the given rows (index, index array or boolean mask)."""

@@ -16,9 +16,14 @@ def newton_rounding(X, v):
     """p eps cond(X'VX): the relative change of a Newton step that rounding
     in X'VX can cause, at the weights v."""
     lam = np.linalg.eigvalsh((X * v[:, None]).T @ X)
-    if lam[0] <= 0.0:
-        return np.inf
+    assert lam[0] > 0.0, f"X'VX is not positive definite: {lam}"
     return X.shape[1] * np.finfo(float).eps * lam[-1] / lam[0]
+
+
+def gram_chunk_budget(n, p, chunks):
+    """A ``GRAM_CHUNK_BYTES`` that sums an n x p X'VX over ``chunks`` chunks
+    of X's rows."""
+    return 8 * (p * (p + 1) // 2) * -(-n // chunks)
 
 
 def random_dataset(n, p, rng, rho=0.4, beta_scale=0.8):
@@ -30,15 +35,29 @@ def random_dataset(n, p, rng, rho=0.4, beta_scale=0.8):
     return Dataset(X=X, y=y), beta
 
 
-def duplicated_column_data(seed):
-    """A logistic dataset (n 50-1500, p 2-5) whose design repeats a column."""
+def duplicated_column_data(seed, n_range=(50, 1500), p_range=(2, 5)):
+    """A logistic dataset (n and p drawn within the inclusive ranges) whose
+    design repeats a column."""
     rng = np.random.default_rng(seed)
-    n, p = int(rng.integers(50, 1501)), int(rng.integers(2, 6))
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    p = int(rng.integers(p_range[0], p_range[1] + 1))
     X = rng.standard_normal((n, p))
     X[:, rng.integers(1, p)] = X[:, 0]
     beta = rng.standard_normal(p) / np.sqrt(p)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ beta)))).astype(float)
     return Dataset(X=X, y=y)
+
+
+def repeated_column_weights(seed):
+    """A design (n 50-3000, p 2-4) whose second column repeats the first,
+    and the (3, n) logistic weights of three linear predictors on it."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(50, 3001)), int(rng.integers(2, 5))
+    X = rng.standard_normal((n, p))
+    X[:, 1] = X[:, 0]
+    eta = X @ rng.standard_normal(p) * np.array([[0.2], [1.0], [3.0]])
+    pi = 1.0 / (1.0 + np.exp(-eta))
+    return X, pi * (1.0 - pi)
 
 
 def tight_fit(dataset):

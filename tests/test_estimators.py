@@ -30,11 +30,18 @@ from liulogit import (
     spectral_decompose,
     spectral_decompose_batch,
 )
-from liulogit import estimators
+from liulogit import estimators, model
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
 from _oracles import dense_decompose
-from _util import correlated_design, duplicated_column_data, random_dataset, tight_fit
+from _util import (
+    correlated_design,
+    duplicated_column_data,
+    gram_chunk_budget,
+    random_dataset,
+    repeated_column_weights,
+    tight_fit,
+)
 
 
 def synthetic_fit(beta, v_diag, z):
@@ -91,17 +98,35 @@ class TestSpectralDecompose:
             spectral_decompose(X, np.full(4, 0.25))
         assert err.value.smallest_eigenvalue <= 0.0
 
-    @pytest.mark.parametrize("seed", range(24))
-    def test_duplicated_column_is_never_a_usable_fit(self, seed):
+    @pytest.mark.parametrize("chunks", (1, 3))
+    @pytest.mark.parametrize(
+        "seed, n_range, p_range",
+        [(seed, (50, 1500), (2, 5)) for seed in range(24)]
+        + [(seed, (20_000, 100_000), (2, 10)) for seed in range(24, 36)],
+    )
+    def test_duplicated_column_is_never_a_usable_fit(self, seed, n_range, p_range,
+                                                     chunks, monkeypatch):
         # rounding in the packed X'VX can leave a positive smallest
-        # eigenvalue, but never one above p eps lambda_max
-        data = duplicated_column_data(seed)
+        # eigenvalue: measured over 91 000 repeated-column designs (n 50 to
+        # 100 000, p 2 to 12, one chunk and 2 to 8), it reached 3.3 eps
+        # lambda_max at p = 2, 0.17 of what positive_definite asks for
+        data = duplicated_column_data(seed, n_range, p_range)
+        if chunks > 1:
+            budget = gram_chunk_budget(*data.X.shape, chunks)
+            monkeypatch.setattr(model, "GRAM_CHUNK_BYTES", budget)
         try:
             fit = irls_fit(data)
         except SingularSystemError:
             return
         with pytest.raises(DecompositionError, match="numerically singular"):
             spectral_decompose(data.X, fit.v_diag)
+
+    @pytest.mark.parametrize("seed", (1620, 4949, 12112, 19733))
+    def test_repeated_column_rounding_is_not_positive_definite(self, seed):
+        # designs whose packed X'VX decomposed to a lambda_min between
+        # 1.2 p eps and 1.7 p eps lambda_max with OpenBLAS 0.3.31
+        X, V = repeated_column_weights(seed)
+        assert not spectral_decompose_batch(X, V).positive_definite.any()
 
     def test_singular_message_names_both_eigenvalues(self):
         X = np.column_stack([np.arange(1.0, 5.0), np.arange(1.0, 5.0)])
