@@ -37,18 +37,75 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
     The response column must contain only 0/1 values; remaining columns
     become covariates in file order.  The header, when there is one, sets
     the field count every data line must match; otherwise the first data
-    line sets it.  The file is read once and each line is checked as it is
-    read, so a file with several faults is reported at the first one in
-    line order: a byte that is not UTF-8, a wrong field count, a
-    non-numeric, non-binary or non-finite cell.  Each message names that
-    1-based line; a file that cannot be opened or read names the OS reason.
+    line sets it.  The file is read once.  A clean file is converted in one
+    vectorised ``np.loadtxt`` call; anything that call or its checks refuse
+    goes through the line loop, which checks each line in order, so a file
+    with several faults is reported at the first one in line order: a byte
+    that is not UTF-8, a wrong field count, a non-numeric, non-binary or
+    non-finite cell.  Each message names that 1-based line; a file that
+    cannot be opened or read names the OS reason.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetFormatError(f"no such file: {path}")
+    # one read, so a pipe such as <(zcat data.csv.gz) is never reopened;
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    try:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            text = handle.read()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise DatasetFormatError(f"cannot read dataset file {path}: {reason}") from None
+    lines = text.split("\n")
+    data = _fast_table(text, lines, has_header, response_column)
+    if data is None:
+        data = _checked_table(path, lines, has_header, response_column)
+    y = data[:, response_column]
+    X = np.delete(data, response_column, axis=1)
+    return Dataset(X=X, y=y)
+
+
+def _fast_table(text: str, lines: list, has_header: bool, response_column: int):
+    """The data as one (n, p + 1) array, or None for ``_checked_table`` to read.
+
+    It only ever accepts: any doubt, from a surrogate-escaped byte to a
+    cell that ``float()`` reads but ``loadtxt`` does not (``1_000``) or a
+    failed check, returns None so that every message comes from the line
+    loop.
+    """
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            return None
+    # the line loop skips blank lines, and loadtxt would refuse "  " as a row
+    rows = list(filter(str.strip, lines))
+    # loadtxt warns on input without rows; the line loop reports it
+    if len(rows) <= has_header:
+        return None
+    try:
+        data = np.loadtxt(
+            rows, delimiter=",", comments=None, skiprows=int(has_header), ndmin=2
+        )
+    except ValueError:
+        return None
+    n, fields = data.shape
+    # a blank line 1 is one field, never the two or more the data needs
+    if has_header and len(lines[0].split(",")) != fields:
+        return None
+    if fields < 2 or not (0 <= response_column < fields) or n < fields - 1:
+        return None
+    response = data[:, response_column]
+    if not (np.isfinite(data).all() and ((response == 0.0) | (response == 1.0)).all()):
+        return None
+    return data
+
+
+def _checked_table(path: Path, lines: list, has_header: bool, response_column: int):
+    """The line loop: the data as an array, or the first fault in line order."""
     rows = []
     expected_fields = None
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(lines):
         fields = line.split(",")
         if expected_fields is None:
             expected_fields = len(fields)
@@ -96,36 +153,30 @@ def parse_dataset(path, has_header: bool = False, response_column: int = 0) -> D
         raise DatasetFormatError(
             f"{n} data rows for {p} covariates: need at least one row per covariate"
         )
-    y = data[:, response_column]
-    X = np.delete(data, response_column, axis=1)
-    return Dataset(X=X, y=y)
+    return data
 
 
-def _data_lines(path: Path):
+def _data_lines(lines: list):
     """Yield (1-based line number, stripped text) for each non-blank line.
 
-    A byte that is not UTF-8 is decoded to a lone surrogate U+DC80..U+DCFF,
-    which valid UTF-8 never yields, and reported on the line it is read.
+    ``lines`` is the file's text split on newlines, as ``_fast_table``
+    saw it.  A byte that is not UTF-8 was decoded to a lone surrogate
+    U+DC80..U+DCFF, which valid UTF-8 never yields, and is reported on its
+    line.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports write
-    try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if not raw.isascii():
-                    try:
-                        raw.encode()
-                    except UnicodeEncodeError as exc:
-                        byte = ord(raw[exc.start]) - 0xDC00
-                        raise DatasetFormatError(
-                            f"line {lineno}: byte 0x{byte:02x} is not UTF-8 text",
-                            line=lineno,
-                        ) from None
-                line = raw.strip()
-                if line:
-                    yield lineno, line
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise DatasetFormatError(f"cannot read dataset file {path}: {reason}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode()
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00
+                raise DatasetFormatError(
+                    f"line {lineno}: byte 0x{byte:02x} is not UTF-8 text",
+                    line=lineno,
+                ) from None
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 def write_dataset(dataset: Dataset, path, header: bool = True) -> None:

@@ -73,27 +73,62 @@ class TestParseDataset:
         with pytest.raises(DatasetFormatError):
             parse_dataset(tmp_path / "absent.csv")
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_reads_like_a_regular_file(self, tmp_path):
-        text = "y,x1,x2\n1,0.5,0.1\n0,-0.2,0.3\n1,1.1,-0.4\n"
-        regular = tmp_path / "data.csv"
-        regular.write_text(text)
+    @staticmethod
+    def _parse_through_pipe(tmp_path, text, **kwargs):
+        """parse_dataset's result or error on ``text`` written once to a FIFO.
+
+        Reader and writer are daemon threads: a reader that never opens the
+        pipe, or opens it a second time after the writer has closed it,
+        blocks without holding up the suite, and the result is then None.
+        """
         pipe = tmp_path / "pipe.csv"
         os.mkfifo(pipe)
+        outcome = []
 
         def feed():
             with open(pipe, "w") as handle:
                 handle.write(text)
 
-        # a daemon writer: a reader that never opens the pipe leaves it
-        # blocked without holding up the suite
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        data = parse_dataset(pipe, has_header=True)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        def read():
+            try:
+                outcome.append(parse_dataset(pipe, **kwargs))
+            except DatasetFormatError as exc:
+                outcome.append(exc)
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        return outcome[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_reads_like_a_regular_file(self, tmp_path):
+        text = "y,x1,x2\n1,0.5,0.1\n0,-0.2,0.3\n1,1.1,-0.4\n"
+        regular = tmp_path / "data.csv"
+        regular.write_text(text)
+        data = self._parse_through_pipe(tmp_path, text, has_header=True)
         expected = parse_dataset(regular, has_header=True)
         assert np.array_equal(data.X, expected.X) and np.array_equal(data.y, expected.y)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y,x1,x2\n1,0.5,0.1\n0,abc,0.3\n1,1.1,-0.4\n", "line 3: non-numeric cell"),
+            # float() reads 1_000, loadtxt does not: the line loop reads it
+            ("y,x1,x2\n1,0.5,0.1\n0,1_000,0.3\n1,1.1,2\n", None),
+        ],
+        ids=["faulty", "underscore"],
+    )
+    def test_pipe_is_read_once_by_the_line_loop(self, tmp_path, text, message):
+        outcome = self._parse_through_pipe(tmp_path, text, has_header=True)
+        if message is None:
+            assert outcome.X[1, 0] == 1000.0
+        else:
+            assert isinstance(outcome, DatasetFormatError)
+            assert str(outcome) == message and outcome.line == 3
 
     @pytest.mark.parametrize(
         "row", ["0,0.2,nan", "0,inf,0.3", "1,0.2,-inf", "NaN,0.2,0.3", "inf,0.1,0.1"]
