@@ -148,8 +148,7 @@ def _clipped_logistic(eta: np.ndarray, clip: float) -> np.ndarray:
     return np.clip(pi, clip, 1.0 - clip, out=pi)
 
 
-def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
-    """Success probabilities logistic(X b), clipped to [clip, 1-clip]."""
+def _linear_predictor(X, beta) -> np.ndarray:
     X = _as_matrix(X)
     beta = _as_vector(beta, "beta")
     if X.shape[1] != beta.shape[0]:
@@ -158,7 +157,12 @@ def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
         )
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta contains non-finite entries")
-    return _clipped_logistic(X @ beta, clip)
+    return X @ beta
+
+
+def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
+    """Success probabilities logistic(X b), clipped to [clip, 1-clip]."""
+    return _clipped_logistic(_linear_predictor(X, beta), clip)
 
 
 def log_likelihood(y, pi) -> float:
@@ -182,11 +186,10 @@ def weight_diagonal(pi) -> np.ndarray:
 
 def working_response(X, beta, y, clip: float = 1e-10) -> np.ndarray:
     """Linearized response z = x'b + (y - pi)/(pi*(1-pi)) at clipped pi."""
-    X = _as_matrix(X)
-    beta = _as_vector(beta, "beta")
+    eta = _linear_predictor(X, beta)
     y = _as_vector(y, "y")
-    pi = predict_probabilities(X, beta, clip=clip)
-    return X @ beta + (y - pi) / (pi * (1.0 - pi))
+    pi = _clipped_logistic(eta, clip)
+    return eta + (y - pi) / (pi * (1.0 - pi))
 
 
 def _stable_loglik(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,42 +263,62 @@ class BatchFit:
         return BatchFit(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-# byte budget for the packed column products of one chunk of X's rows
+# byte budget for the packed column products of one chunk of X's rows: a
+# design within one chunk gets stacked_gram's packed product, a larger one
+# is summed over chunks of that many rows
 GRAM_CHUNK_BYTES = 1 << 20
+
+
+def _gram_chunk_rows(p: int) -> int:
+    # the rows of X whose p(p+1)/2 packed column products fit the budget
+    return max(1, GRAM_CHUNK_BYTES // (4 * p * (p + 1)))
 
 
 def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
 
-    The p(p+1)/2 entries on and above the diagonal are K v, with K the
-    packed column products x_ij x_il (j <= l): one matrix-vector product
-    per weight row, so each row's bits do not depend on the other rows.
-    X's rows go through in chunks whose K fits ``GRAM_CHUNK_BYTES``, and
-    the chunks' products are summed.  The result is exactly symmetric.
+    X's shape alone chooses the product, and no product mixes two weight
+    rows, so each row's bits do not depend on the other rows.  When the
+    packed column products K, x_ij x_il (j <= l), of all n rows fit
+    ``GRAM_CHUNK_BYTES`` (every study design), the p(p+1)/2 entries on and
+    above the diagonal are one matrix-vector product K v per weight row,
+    and the rows share K.  A larger X goes through in chunks of as many
+    rows, and each weight row sums the dense products (diag(v_c) X_c)' X_c
+    over them: building K there costs more than the one product a one-row
+    caller takes from it.  The upper triangle is mirrored, so the result is
+    exactly symmetric.
     """
     n, p = X.shape
     m = p * (p + 1) // 2
-    chunk = min(n, max(1, GRAM_CHUNK_BYTES // (8 * m)))
-    # K fills the front of one GRAM_CHUNK_BYTES buffer on every call: that
-    # block size keeps glibc's malloc from unmapping and re-faulting the
-    # pages of the IRLS temporaries (page faults in BENCH_packed_gram.json)
-    K = np.empty(max(m * chunk, GRAM_CHUNK_BYTES // 8))[: m * chunk].reshape(m, chunk)
-    packed = np.zeros((v_rows.shape[0], m))
+    chunk = _gram_chunk_rows(p)
+    rows, cols = np.triu_indices(p)
+    gram = np.empty((v_rows.shape[0], p, p))
     # inf/nan entries are for the callers to report, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, chunk):
-            XT = np.ascontiguousarray(X[lo : lo + chunk].T)
-            K_c = K[:, : XT.shape[1]]
+        if n <= chunk:
+            # K fills the front of one GRAM_CHUNK_BYTES buffer on every call:
+            # that block size keeps glibc's malloc from unmapping and
+            # re-faulting the pages of the IRLS temporaries (page faults in
+            # BENCH_packed_gram.json)
+            K = np.empty(max(m * n, GRAM_CHUNK_BYTES // 8))[: m * n].reshape(m, n)
+            XT = np.ascontiguousarray(X.T)
             # the rows of K in np.triu_indices order: x_j x_l for l >= j
             top = 0
             for j in range(p):
-                np.multiply(XT[j], XT[j:], out=K_c[top : top + p - j])
+                np.multiply(XT[j], XT[j:], out=K[top : top + p - j])
                 top += p - j
-            packed += np.matmul(K_c, v_rows[:, lo : lo + chunk, None])[..., 0]
-    rows, cols = np.triu_indices(p)
-    gram = np.empty((v_rows.shape[0], p, p))
-    gram[:, rows, cols] = packed
-    gram[:, cols, rows] = packed
+            gram[:, rows, cols] = np.matmul(K, v_rows[..., None])[..., 0]
+        else:
+            scaled = np.empty((chunk, p))
+            part = np.empty((p, p))
+            for v, g in zip(v_rows, gram):
+                g.fill(0.0)
+                for lo in range(0, n, chunk):
+                    X_c = X[lo : lo + chunk]
+                    X_cv = scaled[: len(X_c)]
+                    np.multiply(X_c, v[lo : lo + chunk, None], out=X_cv)
+                    g += np.matmul(X_cv.T, X_c, out=part)
+    gram[:, cols, rows] = gram[:, rows, cols]
     return gram
 
 
@@ -342,10 +365,10 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     accepted step is within the tolerance.  Every accepted step, the last
     included, adds its log-likelihood to the trace.  Rows leave the active
     set as they converge, stall or meet a singular system, which is
-    flagged in ``singular``.  Every matrix product is one row's
-    matrix-vector product, with X or with the packed column products of
-    ``stacked_gram``, so no BLAS call grows with the number of rows and
-    each row's arithmetic is independent of the others.
+    flagged in ``singular``.  Every matrix product takes one row: a
+    matrix-vector product with X, or one of ``stacked_gram``'s products,
+    chosen by X's shape alone.  So no BLAS call grows with the number of
+    rows, and each row's arithmetic is independent of the others.
     """
     X = _as_design(X)
     Y = np.asarray(Y, dtype=float)

@@ -149,12 +149,14 @@ class TestSpectralDecompose:
         [
             # one infinite weight: the product's sums can meet inf - inf
             (500, 6, np.inf, 1.0),
+            # the same over 4 chunks of dense products
+            (20_000, 6, np.inf, 1.0),
             # a column whose squares overflow
             (100, 3, 0.25, 1e200),
             # finite X'VX entries whose symmetrized sum overflows
             (100, 3, 0.25, 2.2e153),
         ],
-        ids=["inf-weight", "overflow-1e200", "overflow-2.2e153"],
+        ids=["inf-weight", "inf-weight-chunked", "overflow-1e200", "overflow-2.2e153"],
     )
     def test_nonfinite_is_an_error_not_a_warning(self, n, p, weight, scale):
         rng = np.random.default_rng(0)

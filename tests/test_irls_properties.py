@@ -7,8 +7,9 @@ probability clip.  Every row of the stack must be bitwise what the same
 response gets alone.  On a full-rank design it must agree with the scalar
 oracle loop; on a duplicated column it must not end in a usable fit.  The
 stacked eigendecomposition of X'VX keeps the same bitwise row contract,
-also when X'VX is summed over several chunks of X's rows, and the packed
-X'VX is exactly symmetric and within summation roundoff of the dense one.
+also when X'VX is summed over several chunks of X's rows, and X'VX, in
+either of its product forms, is exactly symmetric and within summation
+roundoff of the dense one.
 """
 
 from dataclasses import fields
@@ -167,3 +168,21 @@ def test_decomposition_rows_are_independent_over_chunks(stack, chunks):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "GRAM_CHUNK_BYTES", gram_chunk_budget(*X.shape, chunks))
         check_weight_stack(X, V)
+
+
+def test_rows_over_chunks_at_the_default_budget():
+    # 2 383 rows of 55 packed products fill GRAM_CHUNK_BYTES, so a
+    # 20 000 x 10 X'VX is summed over 9 chunks of dense products, unpatched
+    n, p = 20_000, 10
+    assert model._gram_chunk_rows(p) < n
+    rng = np.random.default_rng(21)
+    X = correlated_design(n, p, 0.9, rng)
+    infinite = weight_row("fitted", n, rng)
+    infinite[rng.integers(n)] = np.inf
+    kinds = ("fitted", "zero", "indefinite", "fitted")
+    V = np.stack([weight_row(kind, n, rng) for kind in kinds] + [infinite])
+    gram = model.stacked_gram(X, V)
+    for i in range(V.shape[0]):
+        alone = model.stacked_gram(X, V[i : i + 1])[0]
+        assert np.array_equal(gram[i], alone, equal_nan=True), i
+    check_weight_stack(X, V)

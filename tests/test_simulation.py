@@ -33,7 +33,7 @@ from liulogit import (
     simulate_cell,
     study_configs,
 )
-from liulogit import simulation
+from liulogit import model, simulation
 from liulogit.simulation import (
     ESTIMATOR_ORDER,
     REPLICATION_BLOCK,
@@ -327,6 +327,14 @@ class TestBatchedCellOracle:
 class TestStudyGrid:
     def test_default_grid_size(self):
         assert len(StudyGrid()) == 48
+
+    def test_every_default_design_is_one_gram_chunk(self):
+        # a design within one chunk gets stacked_gram's packed product,
+        # whose bits study.json records; a larger one gets dense products
+        grid = StudyGrid()
+        for p in grid.p_values:
+            for n in grid.n_values:
+                assert n <= model._gram_chunk_rows(p), (n, p)
 
     @pytest.mark.parametrize(
         "field, values, message",
