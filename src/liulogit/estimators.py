@@ -101,9 +101,10 @@ class SpectralDecomposition:
         A smaller lambda_min is rounding, not evidence of a positive definite
         X'VX: it is what a rank-deficient X'VX (collinear columns) or one
         conditioned beyond 1/(10 p eps) (badly scaled columns) decomposes
-        to.  A repeated column's packed X'VX has decomposed to lambda_min up
-        to about 3.3 eps lambda_max, whatever p and n.  False for the NaNs
-        of a non-finite X'VX.
+        to.  A repeated column's X'VX has decomposed to lambda_min up to
+        about 3.3 eps lambda_max (at p = 2) with the packed product, and up
+        to 3.6 eps lambda_max, never above 0.74 p eps lambda_max, with the
+        dense one.  False for the NaNs of a non-finite X'VX.
         """
         lam = self.lambdas
         return lam[..., -1] > 10 * self.p * np.finfo(float).eps * lam[..., 0]

@@ -296,11 +296,11 @@ def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     # inf/nan entries are for the callers to report, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         if n <= chunk:
-            # K fills the front of one GRAM_CHUNK_BYTES buffer on every call:
-            # that block size keeps glibc's malloc from unmapping and
-            # re-faulting the pages of the IRLS temporaries (page faults in
-            # BENCH_packed_gram.json)
-            K = np.empty(max(m * n, GRAM_CHUNK_BYTES // 8))[: m * n].reshape(m, n)
+            # K fills the front of one GRAM_CHUNK_BYTES buffer on every call
+            # (n <= chunk fits its m n entries there): that block size keeps
+            # glibc's malloc from unmapping and re-faulting the pages of the
+            # IRLS temporaries (page faults in BENCH_packed_gram.json)
+            K = np.empty(GRAM_CHUNK_BYTES // 8)[: m * n].reshape(m, n)
             XT = np.ascontiguousarray(X.T)
             # the rows of K in np.triu_indices order: x_j x_l for l >= j
             top = 0

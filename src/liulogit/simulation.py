@@ -105,7 +105,6 @@ class CellResult:
     mean_r: float
     mean_k: float
     mean_d: float
-    estimates: dict | None = None
 
     @property
     def converged_replications(self) -> int:
@@ -227,7 +226,7 @@ def cell_design(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     return _build_design(config, _cell_rng(config))
 
 
-def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> CellResult:
+def simulate_cell(config: SimulationConfig) -> CellResult:
     """Run one cell and return simulated MSE per estimator.
 
     Each replication redraws the response, fits by IRLS, selects r, k and
@@ -257,7 +256,6 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
     pi = logistic(X @ beta)
 
     sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
-    stored = {kind: [] for kind in ESTIMATOR_ORDER} if keep_estimates else None
     divergent = 0
     r_total = 0.0
     k_total = 0.0
@@ -270,8 +268,6 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         decomp = spectral_decompose_batch(X, fit.v_diag)
         kept = fit.converged & decomp.positive_definite
         divergent += size - int(np.count_nonzero(kept))
-        if not kept.any():
-            continue
         fit = fit.select(kept)
         decomp = decomp.select(kept)
         r, k, d, _ = select_parameters(
@@ -282,8 +278,6 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         estimates = batch_estimates(fit, decomp, r, k, d)
         for kind, estimate in estimates.items():
             sums[kind] += float(np.sum((estimate - beta) ** 2))
-            if keep_estimates:
-                stored[kind].append(estimate)
         r_total += float(np.sum(r))
         k_total += float(np.sum(k))
         d_total += float(np.sum(d))
@@ -305,11 +299,6 @@ def simulate_cell(config: SimulationConfig, keep_estimates: bool = False) -> Cel
         mean_r=r_total / converged,
         mean_k=k_total / converged,
         mean_d=d_total / converged,
-        estimates=(
-            {kind: np.concatenate(stored[kind]) for kind in ESTIMATOR_ORDER}
-            if keep_estimates
-            else None
-        ),
     )
 
 
@@ -329,6 +318,7 @@ def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationCon
 
     ``base`` supplies replications, the component settings and the
     design-scaling convention; its seed acts as the study's master seed.
+    Its ``ptv_threshold`` is not used: every cell takes ``ptv_for_p(p)``.
     Cells are ordered p-major, then n, then rho, matching the reference
     table layout.  Under the fixed-norm convention each cell pins the
     rho-stable component count from ``components_for_p``; the raw mode
@@ -412,6 +402,8 @@ def run_study(
 ) -> list[CellResult]:
     """Simulate every cell of the grid, optionally across processes.
 
+    Cells are the configs of ``study_configs``, so each runs at the
+    threshold ``ptv_for_p(p)`` whatever ``base.ptv_threshold`` says.
     Results arrive in grid order either way; parallel and serial runs are
     bit-identical because each cell owns an independently derived stream.
     The first failed cell in grid order raises ``CellFailedError`` with

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,12 +58,14 @@ PARTIAL_FIXED = SimulationConfig(
 )
 
 
-def reference_cell(config, keep_estimates=False):
+def reference_cell(config):
     """The per-replication cell loop: one scalar IRLS fit per replication.
 
     Oracle for the block-batched ``simulate_cell``: same draws, same rules,
     built from the scalar IRLS loop and dense eigendecomposition of
-    ``_oracles`` and the scalar estimators on that decomposition.
+    ``_oracles`` and the scalar estimators on that decomposition.  Returns
+    the ``CellResult`` and, per estimator, the (converged, p) stack of the
+    kept replications' estimates.
     """
     rng = _cell_rng(config)
     X, beta = _build_design(config, rng)
@@ -113,29 +117,49 @@ def reference_cell(config, keep_estimates=False):
         k_total += k
         d_total += d
     converged = config.replications - divergent
-    return CellResult(
+    result = CellResult(
         config=config,
         mse={kind: sums[kind] / converged for kind in ESTIMATOR_ORDER},
         divergent_replications=divergent,
         mean_r=r_total / converged,
         mean_k=k_total / converged,
         mean_d=d_total / converged,
-        estimates=(
-            {kind: np.asarray(stored[kind]) for kind in ESTIMATOR_ORDER}
-            if keep_estimates
-            else None
-        ),
     )
+    return result, {kind: np.asarray(stored[kind]) for kind in ESTIMATOR_ORDER}
+
+
+def cell_with_estimates(config):
+    """``simulate_cell`` and, per estimator, its kept replications' estimates.
+
+    Records what the cell's ``batch_estimates`` call returns for each
+    block and stacks the blocks in replication order.
+    """
+    blocks = []
+    batch_estimates = simulation.batch_estimates
+
+    def recording(*args):
+        estimates = batch_estimates(*args)
+        blocks.append(estimates)
+        return estimates
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "batch_estimates", recording)
+        result = simulate_cell(config)
+    assert len(blocks) == -(-config.replications // simulation.REPLICATION_BLOCK)
+    return result, {
+        kind: np.concatenate([block[kind] for block in blocks])
+        for kind in ESTIMATOR_ORDER
+    }
 
 
 def assert_matches_reference(config):
-    batched = simulate_cell(config, keep_estimates=True)
-    reference = reference_cell(config, keep_estimates=True)
+    batched, estimates = cell_with_estimates(config)
+    reference, reference_estimates = reference_cell(config)
     assert batched.divergent_replications == reference.divergent_replications
     assert batched.mean_r == reference.mean_r
     for kind in ESTIMATOR_ORDER:
         assert batched.mse[kind] == pytest.approx(reference.mse[kind], rel=1e-8, abs=0)
-        got, want = batched.estimates[kind], reference.estimates[kind]
+        got, want = estimates[kind], reference_estimates[kind]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10, kind
     assert batched.mean_k == pytest.approx(reference.mean_k, rel=1e-8, abs=0)
@@ -241,17 +265,17 @@ class TestSimulateCell:
     def test_zero_error_when_estimate_equals_truth(self):
         # Eq-style accumulation: plugging the generating coefficients into
         # the stored-estimate pass must give exactly zero
-        result = simulate_cell(SMALL_CELL, keep_estimates=True)
+        result = simulate_cell(SMALL_CELL)
         _, beta = cell_design(SMALL_CELL)
         forced = np.tile(beta, (result.converged_replications, 1))
         assert np.sum((forced - beta) ** 2) / result.converged_replications == 0.0
 
     def test_two_pass_accumulation_oracle(self):
-        result = simulate_cell(SMALL_CELL, keep_estimates=True)
+        result, estimates = cell_with_estimates(SMALL_CELL)
         _, beta = cell_design(SMALL_CELL)
         m = result.converged_replications
         for kind in EstimatorKind:
-            stored = result.estimates[kind]
+            stored = estimates[kind]
             assert stored.shape == (m, SMALL_CELL.p)
             recomputed = float(np.sum((stored - beta) ** 2) / m)
             assert recomputed == pytest.approx(result.mse[kind], abs=1e-10)
@@ -323,6 +347,26 @@ class TestBatchedCellOracle:
         result = assert_matches_reference(PARTIAL_FIXED)
         assert result.divergent_replications == 12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "config",
+        [pytest.param(PARTIAL_RAW, id="raw"), pytest.param(PARTIAL_FIXED, id="fixed")],
+    )
+    def test_blocks_that_keep_no_row(self, monkeypatch, config):
+        # at two replications a block, two blocks of each fixture diverge
+        # whole: the rules and estimators run on zero rows and add nothing
+        kept_rows = []
+        batch_estimates = simulation.batch_estimates
+
+        def counting(fit, *args):
+            kept_rows.append(fit.beta.shape[0])
+            return batch_estimates(fit, *args)
+
+        monkeypatch.setattr(simulation, "REPLICATION_BLOCK", 2)
+        monkeypatch.setattr(simulation, "batch_estimates", counting)
+        assert_matches_reference(config)
+        assert kept_rows.count(0) == 2
+
 
 class TestStudyGrid:
     def test_default_grid_size(self):
@@ -388,6 +432,17 @@ class TestRunStudy:
         second = run_study(self.GRID, self.BASE)
         for a, b in zip(first, second):
             assert a.mse == b.mse
+
+    def test_base_ptv_threshold_is_replaced_per_p(self):
+        # every cell runs at ptv_for_p(p); raw scaling leaves r to that rule
+        grid = StudyGrid(p_values=(4, 6), n_values=(100,), rho_values=(0.8,))
+        base = SimulationConfig(
+            n=100, p=4, rho=0.8, replications=8, seed=5, design_scaling="raw",
+        )
+        default = run_study(grid, base)
+        ignored = run_study(grid, replace(base, ptv_threshold=0.9))
+        assert [c.ptv_threshold for c in study_configs(grid, base)] == [0.75, 0.83]
+        assert [r.to_dict() for r in ignored] == [r.to_dict() for r in default]
 
 
 class TestRunCells:
