@@ -405,16 +405,16 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         # step is taken unconditionally
         rows, step = active[~bad], step[~bad]
         step_norm = np.max(np.abs(step), axis=-1)
-        base, start = beta[rows], trace[rows, iteration - 1]
+        start = trace[rows, iteration - 1]
         floor = start - LOGLIK_SLACK * (1.0 + np.abs(start))
         floor[step_norm <= tolerance] = -np.inf
-        scale = np.ones(rows.size)
-        accepted = np.zeros(rows.size, dtype=bool)
+        # pending rows share one halving count, and keep beta at their last iterate
         pending = np.arange(rows.size)
-        for _ in range(HALVING_TRIES):
+        for halvings in range(HALVING_TRIES):
             if pending.size == 0:
                 break
-            candidate = base[pending] + scale[pending, None] * step[pending]
+            scale = 0.5**halvings
+            candidate = beta[rows[pending]] + scale * step[pending]
             cand_eta = _stacked_xb(X, candidate)
             cand_loglik = _stable_loglik(cand_eta, Y[rows[pending]])
             ok = cand_loglik >= floor[pending]
@@ -422,13 +422,13 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
             beta[taken] = candidate[ok]
             eta[taken] = cand_eta[ok]
             trace[taken, iteration] = cand_loglik[ok]
-            accepted[pending[ok]] = True
+            step_norm[pending[ok]] *= scale
             pending = pending[~ok]
-            scale[pending] *= 0.5
 
         # rows whose halving failed stop here, unconverged, and report the
         # norm of their rejected full step
-        step_norm[accepted] *= scale[accepted]
+        accepted = np.ones(rows.size, dtype=bool)
+        accepted[pending] = False
         final_step_norm[rows] = step_norm
         small = accepted & (step_norm <= tolerance)
         converged[rows[small]] = True

@@ -32,10 +32,10 @@ from liulogit import (
 )
 import liulogit.io
 import liulogit.msem
-from liulogit import cli
+from liulogit import cli, model
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
-from _util import correlated_design, duplicated_column_data
+from _util import correlated_design, duplicated_column_data, gram_chunk_budget
 
 
 class TestParseDataset:
@@ -596,12 +596,23 @@ class TestSimulateCommand:
         assert len(payload["cells"]) == 1
         assert payload["cells"][0]["mse"]["ml"] > 0
 
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["simulate", "--p", "3", "--n", "80", "--rho", "0.8,0.9",
-                "--reps", "8", "--seed", "21"]
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--p", "3", "--n", "80", "--rho", "0.8,0.9", "--reps", "8", "--seed", "21"],
+            # the raw protocol drops 33 and 52 replications in the two n = 15
+            # cells and selects r per replication
+            ["--p", "4", "--n", "15,200", "--rho", "0.9,0.999", "--reps", "150",
+             "--design-scaling", "raw", "--min-components", "1", "--seed", "11"],
+        ],
+        ids=["fixed", "raw"],
+    )
+    def test_byte_identical_reruns(self, tmp_path, capsys, grid):
+        args = ["simulate", *grid]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
 
     def test_failed_cell_reported(self, tmp_path):
@@ -1040,13 +1051,24 @@ class TestPinnedReports:
             ("compare_beta_file", ["compare", *PAIRS, "--beta-file", "{beta}"]),
         ],
     )
-    def test_report_is_pinned(self, single_factor_csv, tmp_path, capsys, name, argv):
+    # the default budget takes the 300 x 4 X'VX as one packed K v; six
+    # 50-row chunks take the dense per-chunk products of a larger design
+    @pytest.mark.parametrize(
+        "budget",
+        [model.GRAM_CHUNK_BYTES, gram_chunk_budget(300, 4, 6)],
+        ids=["packed", "dense"],
+    )
+    def test_report_is_pinned(self, single_factor_csv, tmp_path, capsys,
+                              monkeypatch, name, argv, budget):
+        monkeypatch.setattr(model, "GRAM_CHUNK_BYTES", budget)
         beta = tmp_path / "beta.txt"
         beta.write_text("0.5\n-0.25\n0.5\n0.0\n")
         argv = [token.format(beta=beta) for token in argv]
         code = main([*argv, "--input", str(single_factor_csv), "--format", "json"])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
         assert report.pop("version") == liulogit.__version__
         _assert_report_matches(report, PINNED_REPORTS[name], name)
 

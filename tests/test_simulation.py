@@ -262,13 +262,25 @@ class TestGenerateResponse:
 
 
 class TestSimulateCell:
-    def test_zero_error_when_estimate_equals_truth(self):
-        # Eq-style accumulation: plugging the generating coefficients into
-        # the stored-estimate pass must give exactly zero
-        result = simulate_cell(SMALL_CELL)
-        _, beta = cell_design(SMALL_CELL)
-        forced = np.tile(beta, (result.converged_replications, 1))
-        assert np.sum((forced - beta) ** 2) / result.converged_replications == 0.0
+    def test_zero_error_when_estimate_equals_truth(self, monkeypatch):
+        # every kept row estimates c beta, so each MSE is (c - 1)^2 ||beta||^2
+        # with ||beta|| = 1: the squared errors are summed over the kept rows
+        # only and divided by the converged count, not by the replications
+        _, beta = cell_design(PARTIAL_RAW)
+        scale = 1.0
+
+        def fixed(fit, *args):
+            rows = np.tile(scale * beta, (fit.beta.shape[0], 1))
+            return {kind: rows for kind in EstimatorKind}
+
+        monkeypatch.setattr(simulation, "batch_estimates", fixed)
+        result = simulate_cell(PARTIAL_RAW)
+        assert result.divergent_replications == 13
+        assert all(result.mse[kind] == 0.0 for kind in EstimatorKind)
+        scale = 2.0
+        result = simulate_cell(PARTIAL_RAW)
+        for kind in EstimatorKind:
+            assert result.mse[kind] == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
     def test_two_pass_accumulation_oracle(self):
         result, estimates = cell_with_estimates(SMALL_CELL)
