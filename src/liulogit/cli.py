@@ -47,6 +47,7 @@ from .io import (
 from .model import FitConfig, irls_fit
 from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
+    _DESIGN_SCALINGS,
     CellResult,
     SimulationConfig,
     StudyGrid,
@@ -186,27 +187,27 @@ def build_parser() -> _Parser:
     fit.add_argument(
         "--estimators",
         type=_csv_values(_estimator_kind, "estimators"),
-        default="ml,ltl,pclr,pcltl",
-        help="comma list from ml,ltl,pclr,pcltl",
+        default=list(EstimatorKind),
+        help="comma list from " + ",".join(kind.value for kind in EstimatorKind),
     )
     _add_params_args(fit)
-    fit.add_argument("--tol", type=float, default=1e-6)
+    fit.add_argument("--tol", type=float, default=FitConfig.tolerance)
     fit.add_argument("--format", choices=("json", "csv", "tsv"), default="json")
     fit.add_argument("--output", default=None)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study grid")
     integers, numbers = _csv_values(int, "integers"), _csv_values(float, "numbers")
-    sim.add_argument("--p", type=integers, default=[4, 6, 8, 12])
-    sim.add_argument("--n", type=integers, default=[200, 500, 1000])
-    sim.add_argument("--rho", type=numbers, default=[0.8, 0.9, 0.99, 0.999])
-    sim.add_argument("--reps", type=int, default=2000)
+    sim.add_argument("--p", type=integers, default=StudyGrid.p_values)
+    sim.add_argument("--n", type=integers, default=StudyGrid.n_values)
+    sim.add_argument("--rho", type=numbers, default=StudyGrid.rho_values)
+    sim.add_argument("--reps", type=int, default=SimulationConfig.replications)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default=None, help="directory for tables and JSON")
     sim.add_argument("--workers", type=int, default=None)
-    sim.add_argument(
-        "--design-scaling", choices=("fixed_norm", "raw"), default="fixed_norm"
-    )
-    sim.add_argument("--min-components", type=int, default=2)
+    sim.add_argument("--design-scaling", choices=_DESIGN_SCALINGS,
+                     default=SimulationConfig.design_scaling)
+    sim.add_argument("--min-components", type=int,
+                     default=SimulationConfig.min_components)
     sim.add_argument("--components", type=int, default=None)
 
     comp = sub.add_parser("compare", help="dominance analysis on a dataset")
@@ -219,7 +220,7 @@ def build_parser() -> _Parser:
     )
     comp.add_argument("--beta-file", default=None)
     _add_params_args(comp)
-    comp.add_argument("--tol", type=float, default=1e-6)
+    comp.add_argument("--tol", type=float, default=FitConfig.tolerance)
     comp.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
     comp.add_argument("--output", default=None)
     return parser
@@ -235,7 +236,7 @@ def _add_params_args(parser):
     parser.add_argument("--k", type=float, default=None)
     parser.add_argument("--d", type=float, default=None)
     parser.add_argument("--r", type=int, default=None)
-    parser.add_argument("--ptv", type=float, default=0.75)
+    parser.add_argument("--ptv", type=float, default=SimulationConfig.ptv_threshold)
 
 
 def _read_dataset(args):
@@ -301,11 +302,7 @@ def _run_simulate(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     seed = args.seed if args.seed is not None else _default_seed()
-    grid = StudyGrid(
-        p_values=tuple(args.p),
-        n_values=tuple(args.n),
-        rho_values=tuple(args.rho),
-    )
+    grid = StudyGrid(p_values=args.p, n_values=args.n, rho_values=args.rho)
     base = SimulationConfig(
         n=max(grid.n_values),
         p=min(grid.p_values),

@@ -270,6 +270,11 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     return SpectralDecomposition(T=vec, lambdas=lam)
 
 
+def _check_ptv(ptv_threshold: float):
+    if not (0.0 < ptv_threshold <= 1.0):
+        raise ValueError("ptv_threshold must lie in (0, 1]")
+
+
 def select_components(lambdas, ptv_threshold: float):
     """Smallest r whose leading eigenvalue share reaches the threshold.
 
@@ -278,8 +283,7 @@ def select_components(lambdas, ptv_threshold: float):
     lam = np.asarray(lambdas, dtype=float)
     if np.any(lam <= 0.0) or np.any(np.diff(lam, axis=-1) > 0):
         raise ValueError("lambdas must be positive and sorted descending")
-    if not (0.0 < ptv_threshold <= 1.0):
-        raise ValueError("ptv_threshold must lie in (0, 1]")
+    _check_ptv(ptv_threshold)
     shares = np.cumsum(lam, axis=-1) / np.sum(lam, axis=-1, keepdims=True)
     # shares ascend, so the count below the threshold is its left insertion point
     r = np.count_nonzero(shares < ptv_threshold, axis=-1) + 1
@@ -406,6 +410,8 @@ def select_parameters(
     k_clamped) broadcast to the batch shape of ``decomp``; a given k is
     never clamped.
     """
+    # the threshold is checked even where a given r leaves it unread
+    _check_ptv(ptv_threshold)
     lam = decomp.lambdas
     p = lam.shape[-1]
     if r is None:

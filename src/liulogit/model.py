@@ -160,7 +160,7 @@ def _linear_predictor(X, beta) -> np.ndarray:
     return X @ beta
 
 
-def predict_probabilities(X, beta, clip: float = 1e-10) -> np.ndarray:
+def predict_probabilities(X, beta, clip: float = FitConfig.probability_clip) -> np.ndarray:
     """Success probabilities logistic(X b), clipped to [clip, 1-clip]."""
     return _clipped_logistic(_linear_predictor(X, beta), clip)
 
@@ -184,7 +184,7 @@ def weight_diagonal(pi) -> np.ndarray:
     return pi * (1.0 - pi)
 
 
-def working_response(X, beta, y, clip: float = 1e-10) -> np.ndarray:
+def working_response(X, beta, y, clip: float = FitConfig.probability_clip) -> np.ndarray:
     """Linearized response z = x'b + (y - pi)/(pi*(1-pi)) at clipped pi."""
     eta = _linear_predictor(X, beta)
     y = _as_vector(y, "y")

@@ -61,6 +61,9 @@ REPLICATION_BLOCK = 64
 
 ESTIMATOR_ORDER = tuple(EstimatorKind)
 
+# the column conventions a cell's design may take
+_DESIGN_SCALINGS = ("fixed_norm", "raw")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -87,7 +90,7 @@ class SimulationConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.ptv_threshold <= 1.0):
             raise ValueError("ptv_threshold must lie in (0, 1]")
-        if self.design_scaling not in ("fixed_norm", "raw"):
+        if self.design_scaling not in _DESIGN_SCALINGS:
             raise ValueError(f"unknown design_scaling {self.design_scaling!r}")
         if self.min_components < 1:
             raise ValueError("min_components must be at least 1")
@@ -191,16 +194,16 @@ def scale_columns(X, column_norm: float) -> np.ndarray:
 
 
 def newhouse_oman_beta(X) -> np.ndarray:
-    """Unit-norm eigenvector of X'X for its largest eigenvalue, sign-fixed."""
+    """Unit leading eigenvector of X'X, from the package's one decomposition.
+
+    That is ``spectral_decompose_batch`` at unit weights, with its order
+    and sign rules; an X'X that is not ``positive_definite`` is refused.
+    """
     X = np.asarray(X, dtype=float)
-    gram = X.T @ X
-    lam, vec = np.linalg.eigh(gram)
-    if lam[0] <= 1e-12 * lam[-1]:
+    decomp = spectral_decompose_batch(X, np.ones((1, X.shape[0])))
+    if not decomp.positive_definite[0]:
         raise ValueError("design is rank deficient")
-    # ties on the largest eigenvalue resolve to the earliest LAPACK index
-    top = vec[:, int(np.argsort(-lam, kind="stable")[0])]
-    beta = top / np.linalg.norm(top)
-    return beta * np.sign(beta[np.argmax(np.abs(beta))])
+    return decomp.T[0, :, 0]
 
 
 def generate_response(X, beta, rng: np.random.Generator) -> np.ndarray:
@@ -325,6 +328,7 @@ def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationCon
     leaves selection to the per-replication share rule.  An explicit
     ``base.components`` overrides both.
     """
+    pinned = base.components is None and base.design_scaling == "fixed_norm"
     configs = []
     index = 0
     for p in grid.p_values:
@@ -338,15 +342,7 @@ def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationCon
                         rho=rho,
                         seed=derive_cell_seed(base.seed, index),
                         ptv_threshold=ptv_for_p(p),
-                        components=(
-                            base.components
-                            if base.components is not None
-                            else (
-                                components_for_p(p)
-                                if base.design_scaling == "fixed_norm"
-                                else None
-                            )
-                        ),
+                        components=components_for_p(p) if pinned else base.components,
                     )
                 )
                 index += 1

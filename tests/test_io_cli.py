@@ -12,6 +12,7 @@ from liulogit import (
     DatasetFormatError,
     EstimatorKind,
     EstimatorSpec,
+    FitConfig,
     ShrinkageParams,
     SimulationConfig,
     StudyGrid,
@@ -367,6 +368,14 @@ class TestFitCommand:
         assert main(["fit", "--input", str(path)]) == EXIT_DATA
         assert "2 data rows for 3 covariates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_defaults_are_the_library_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--input", "x.csv"])
+        assert args.tol == FitConfig().tolerance
+        assert args.ptv == SimulationConfig(n=200, p=4, rho=0.8).ptv_threshold
+        if command == "fit":
+            assert args.estimators == list(EstimatorKind)
+
     def test_usage_error_exit_code(self):
         assert main(["fit"]) == EXIT_USAGE  # --input is required
 
@@ -403,6 +412,13 @@ class TestFitCommand:
             # --beta-file alone chooses the coefficient vector
             (["compare", "--input", "{csv}", "--beta-source", "file"],
              "unrecognized arguments: --beta-source file"),
+            # a given r leaves the threshold unread, yet it is still checked
+            (["fit", "--input", "{csv}", "--r", "2", "--ptv", "-1"],
+             "ptv_threshold must lie in (0, 1]"),
+            (["fit", "--input", "{csv}", "--ptv", "2", "--r", "2"],
+             "ptv_threshold must lie in (0, 1]"),
+            (["compare", "--input", "{csv}", "--r", "2", "--ptv", "2"],
+             "ptv_threshold must lie in (0, 1]"),
         ],
     )
     def test_usage_error_names_its_reason(self, toy_csv, tmp_path, monkeypatch,
@@ -581,6 +597,14 @@ class TestFitCommand:
 
 
 class TestSimulateCommand:
+    def test_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["simulate"])
+        assert StudyGrid(args.p, args.n, args.rho) == StudyGrid()
+        config = SimulationConfig(n=200, p=4, rho=0.8)
+        assert (args.reps, args.design_scaling, args.min_components,
+                args.components) == (config.replications, config.design_scaling,
+                                     config.min_components, config.components)
+
     def test_single_cell_layout(self, tmp_path):
         out = tmp_path / "study"
         code = main([

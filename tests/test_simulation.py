@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from liulogit import (
     scale_columns,
     select_components,
     simulate_cell,
+    spectral_decompose,
     study_configs,
 )
 from liulogit import model, simulation
@@ -44,6 +47,7 @@ from liulogit.simulation import (
 )
 
 from _oracles import dense_decompose, scalar_irls
+from _util import duplicated_column_data
 
 SMALL_CELL = SimulationConfig(n=150, p=4, rho=0.9, replications=40, seed=2024)
 
@@ -240,6 +244,21 @@ class TestNewhouseOmanBeta:
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(ValueError):
             newhouse_oman_beta(X)
+
+    @pytest.mark.parametrize("scaling", ["fixed_norm", "raw"])
+    def test_leading_column_of_the_package_decomposition(self, scaling):
+        config = SimulationConfig(n=200, p=6, rho=0.99, design_scaling=scaling)
+        X, _ = cell_design(config)
+        expected = spectral_decompose(X, np.ones(config.n)).T[:, 0]
+        assert np.array_equal(newhouse_oman_beta(X), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicated_column_refused_like_the_decomposition(self, seed):
+        X = duplicated_column_data(seed).X
+        with pytest.raises(ValueError, match="design is rank deficient"):
+            newhouse_oman_beta(X)
+        with pytest.raises(DecompositionError, match="numerically singular"):
+            spectral_decompose(X, np.ones(X.shape[0]))
 
 
 class TestGenerateResponse:
@@ -507,6 +526,30 @@ class TestRunCells:
         with pytest.raises(CellFailedError) as err:
             run_study(self.GRID, self.BASE, workers=workers)
         assert (err.value.n, err.value.p, err.value.rho) == (3, 2, 0.6)
+
+
+class TestBenchmarkReference:
+    """The default grid matches the per-cell results that the benchmark's
+    study workloads are checked against, at the same 1e-6 relative
+    tolerance, so a drift fails here before it fails a benchmark run."""
+
+    FILE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_study.json"
+
+    @pytest.mark.parametrize("master_seed", [20240817, 7])
+    def test_default_grid_matches_recorded_cells(self, master_seed):
+        reference = json.loads(self.FILE.read_text(encoding="utf-8"))
+        base = SimulationConfig(n=1000, p=4, rho=0.8,
+                                replications=reference["reps"], seed=master_seed)
+        recorded = {(p, n, rho): values
+                    for p, n, rho, *values in reference["seeds"][str(master_seed)]}
+        outcomes = run_cells(study_configs(StudyGrid(), base))
+        assert [(c.config.p, c.config.n, c.config.rho) for c in outcomes] == list(recorded)
+        for cell in outcomes:
+            *mse, divergent = recorded[cell.config.p, cell.config.n, cell.config.rho]
+            assert cell.divergent_replications == divergent
+            assert [cell.mse[kind] for kind in ESTIMATOR_ORDER] == pytest.approx(
+                mse, rel=1e-6, abs=0.0
+            )
 
 
 CELL = dict(n=100, p=4, rho=0.5)
