@@ -278,13 +278,16 @@ def _check_ptv(ptv_threshold: float):
 def select_components(lambdas, ptv_threshold: float):
     """Smallest r whose leading eigenvalue share reaches the threshold.
 
-    ``lambdas`` may carry leading batch axes; r is then an integer array.
+    Each share is a running sum over the last one, so the p-th share is
+    exactly 1 and r <= p for every threshold in (0, 1].  ``lambdas`` may
+    carry leading batch axes; r is then an integer array.
     """
     lam = np.asarray(lambdas, dtype=float)
     if np.any(lam <= 0.0) or np.any(np.diff(lam, axis=-1) > 0):
         raise ValueError("lambdas must be positive and sorted descending")
     _check_ptv(ptv_threshold)
-    shares = np.cumsum(lam, axis=-1) / np.sum(lam, axis=-1, keepdims=True)
+    shares = np.cumsum(lam, axis=-1)
+    shares /= shares[..., -1:]
     # shares ascend, so the count below the threshold is its left insertion point
     r = np.count_nonzero(shares < ptv_threshold, axis=-1) + 1
     return int(r) if r.ndim == 0 else r

@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetFormatError
+from .estimators import EstimatorKind
 from .model import Dataset
-from .simulation import ESTIMATOR_ORDER, CellResult
+from .simulation import CellResult
 
 __all__ = [
     "parse_dataset",
@@ -205,7 +206,7 @@ class StudyTable:
 
     @property
     def row_order(self) -> tuple:
-        return ESTIMATOR_ORDER
+        return tuple(EstimatorKind)
 
 
 def build_study_tables(results: list[CellResult]) -> list[StudyTable]:
@@ -217,7 +218,7 @@ def build_study_tables(results: list[CellResult]) -> list[StudyTable]:
     for p, cells in by_p.items():
         columns = tuple((c.config.n, c.config.rho) for c in cells)
         values = {
-            kind: tuple(c.mse[kind] for c in cells) for kind in ESTIMATOR_ORDER
+            kind: tuple(c.mse[kind] for c in cells) for kind in EstimatorKind
         }
         tables.append(StudyTable(p=p, columns=columns, values=values))
     return tables

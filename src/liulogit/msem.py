@@ -135,7 +135,7 @@ def asymptotic_msem(
 
 def smse(report: MsemReport) -> float:
     """Scalar mean squared error, the trace of the error matrix."""
-    return float(np.trace(report.msem))
+    return report.smse
 
 
 def _smallest_eigenvalue(sym) -> tuple[float, float]:

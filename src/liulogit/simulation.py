@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CellFailedError
 from .estimators import (
     EstimatorKind,
+    _check_ptv,
     batch_estimates,
     select_parameters,
     spectral_decompose_batch,
@@ -59,8 +60,6 @@ DESIGN_COLUMN_NORM = 2.0 * math.sqrt(2.0)
 # (REPLICATION_BLOCK, n) arrays whatever its replication count
 REPLICATION_BLOCK = 64
 
-ESTIMATOR_ORDER = tuple(EstimatorKind)
-
 # the column conventions a cell's design may take
 _DESIGN_SCALINGS = ("fixed_norm", "raw")
 
@@ -88,8 +87,7 @@ class SimulationConfig:
             raise ValueError("replications must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if not (0.0 < self.ptv_threshold <= 1.0):
-            raise ValueError("ptv_threshold must lie in (0, 1]")
+        _check_ptv(self.ptv_threshold)
         if self.design_scaling not in _DESIGN_SCALINGS:
             raise ValueError(f"unknown design_scaling {self.design_scaling!r}")
         if self.min_components < 1:
@@ -122,7 +120,7 @@ class CellResult:
             "seed": self.config.seed,
             "ptv_threshold": self.config.ptv_threshold,
             "components": self.config.components,
-            "mse": {kind.value: self.mse[kind] for kind in ESTIMATOR_ORDER},
+            "mse": {kind.value: self.mse[kind] for kind in EstimatorKind},
             "divergent_replications": self.divergent_replications,
             "mean_r": self.mean_r,
             "mean_k": self.mean_k,
@@ -213,10 +211,6 @@ def generate_response(X, beta, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(X.shape[0]) < pi).astype(float)
 
 
-def _cell_rng(config: SimulationConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(config.seed))
-
-
 def _build_design(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     X = generate_design(config.n, config.p, config.rho, rng)
     if config.design_scaling == "fixed_norm":
@@ -226,7 +220,7 @@ def _build_design(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray
 
 def cell_design(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (X, beta) pair a cell fixes across its replications."""
-    return _build_design(config, _cell_rng(config))
+    return _build_design(config, np.random.default_rng(config.seed))
 
 
 def simulate_cell(config: SimulationConfig) -> CellResult:
@@ -254,11 +248,11 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     CellFailedError
         If every replication diverged.
     """
-    rng = _cell_rng(config)
+    rng = np.random.default_rng(config.seed)
     X, beta = _build_design(config, rng)
     pi = logistic(X @ beta)
 
-    sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
+    sums = {kind: 0.0 for kind in EstimatorKind}
     divergent = 0
     r_total = 0.0
     k_total = 0.0
@@ -297,7 +291,7 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
 
     return CellResult(
         config=config,
-        mse={kind: sums[kind] / converged for kind in ESTIMATOR_ORDER},
+        mse={kind: sums[kind] / converged for kind in EstimatorKind},
         divergent_replications=divergent,
         mean_r=r_total / converged,
         mean_k=k_total / converged,

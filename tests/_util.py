@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from liulogit import Dataset, FitConfig, irls_fit
+from liulogit import Dataset, FitConfig, SpectralDecomposition, irls_fit
 
 TIGHT = FitConfig(tolerance=1e-10, max_iterations=200)
 
@@ -24,6 +24,13 @@ def gram_chunk_budget(n, p, chunks):
     """A ``GRAM_CHUNK_BYTES`` that sums an n x p X'VX over ``chunks`` chunks
     of X's rows."""
     return 8 * (p * (p + 1) // 2) * -(-n // chunks)
+
+
+def random_decomposition(p, rng, lam_range=(0.05, 8.0)):
+    """Synthetic descending eigensystem with a random orthogonal basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    lam = np.sort(rng.uniform(*lam_range, size=p))[::-1]
+    return SpectralDecomposition(T=q, lambdas=lam)
 
 
 def random_dataset(n, p, rng, rho=0.4, beta_scale=0.8):

@@ -16,7 +16,6 @@ from liulogit import (
     FitConfig,
     ShrinkageParams,
     SimulationConfig,
-    SpectralDecomposition,
     StudyGrid,
     asymptotic_msem,
     components_for_p,
@@ -35,11 +34,9 @@ from liulogit import (
     theorem_3_3_condition,
 )
 
-from _util import random_dataset, tight_fit
+from _util import random_dataset, random_decomposition, tight_fit
 
 MASTER_SEED = 20240817
-
-ORDER = (EstimatorKind.ML, EstimatorKind.LTL, EstimatorKind.PCLR, EstimatorKind.PCLTL)
 
 _STUDY_CACHE = {}
 
@@ -57,12 +54,6 @@ def grid_study_200(workers=None):
 def report(number, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number}] {status} {detail}")
-
-
-def random_decomposition(p, rng, lam_range=(0.05, 8.0)):
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    lam = np.sort(rng.uniform(*lam_range, size=p))[::-1]
-    return SpectralDecomposition(T=q, lambdas=lam)
 
 
 def random_theorem_params(rng):

@@ -190,6 +190,33 @@ class TestSelectComponents:
             assert shares[r - 1] >= threshold
             assert r == 1 or shares[r - 2] < threshold
 
+    @staticmethod
+    def descending_spectra(rng, p, rows=1000):
+        return np.sort(rng.uniform(0.01, 5.0, size=(rows, p)), axis=1)[:, ::-1]
+
+    def test_full_share_keeps_every_component(self):
+        rng = np.random.default_rng(16)
+        for p in range(2, 41):
+            lam = self.descending_spectra(rng, p)
+            np.testing.assert_array_equal(select_components(lam, 1.0), p)
+            for row in lam[:200]:
+                assert select_components(row, 1.0) == p
+
+    def test_never_more_than_p_just_below_one(self):
+        rng = np.random.default_rng(17)
+        threshold = np.nextafter(1.0, 0.0)
+        for p in range(2, 41):
+            r = select_components(self.descending_spectra(rng, p), threshold)
+            assert r.max() <= p
+
+    def test_full_share_splits_a_fit(self):
+        for seed in range(8):
+            dataset, _ = random_dataset(300, 12, np.random.default_rng(seed))
+            fit = tight_fit(dataset)
+            decomp = spectral_decompose(dataset.X, fit.v_diag)
+            split = decomp.split(select_components(decomp.lambdas, 1.0))
+            assert split.r == 12
+
     def test_high_correlation_design_keeps_one(self):
         rng = np.random.default_rng(14)
         dataset, _ = random_dataset(400, 4, rng, rho=0.99, beta_scale=0.3)

@@ -18,12 +18,7 @@ from liulogit import (
     theorem_condition,
 )
 
-
-def random_decomposition(p, rng, lam_range=(0.05, 8.0)):
-    """Synthetic descending eigensystem with a random orthogonal basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    lam = np.sort(rng.uniform(*lam_range, size=p))[::-1]
-    return SpectralDecomposition(T=q, lambdas=lam)
+from _util import random_decomposition
 
 
 def random_params(rng, p_context=None):

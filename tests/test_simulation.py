@@ -39,12 +39,7 @@ from liulogit import (
     study_configs,
 )
 from liulogit import model, simulation
-from liulogit.simulation import (
-    ESTIMATOR_ORDER,
-    REPLICATION_BLOCK,
-    _build_design,
-    _cell_rng,
-)
+from liulogit.simulation import REPLICATION_BLOCK, _build_design
 
 from _oracles import dense_decompose, scalar_irls
 from _util import duplicated_column_data
@@ -71,10 +66,10 @@ def reference_cell(config):
     the ``CellResult`` and, per estimator, the (converged, p) stack of the
     kept replications' estimates.
     """
-    rng = _cell_rng(config)
+    rng = np.random.default_rng(config.seed)
     X, beta = _build_design(config, rng)
-    sums = {kind: 0.0 for kind in ESTIMATOR_ORDER}
-    stored = {kind: [] for kind in ESTIMATOR_ORDER}
+    sums = {kind: 0.0 for kind in EstimatorKind}
+    stored = {kind: [] for kind in EstimatorKind}
     divergent = 0
     r_total = k_total = d_total = 0.0
     for _ in range(config.replications):
@@ -123,13 +118,13 @@ def reference_cell(config):
     converged = config.replications - divergent
     result = CellResult(
         config=config,
-        mse={kind: sums[kind] / converged for kind in ESTIMATOR_ORDER},
+        mse={kind: sums[kind] / converged for kind in EstimatorKind},
         divergent_replications=divergent,
         mean_r=r_total / converged,
         mean_k=k_total / converged,
         mean_d=d_total / converged,
     )
-    return result, {kind: np.asarray(stored[kind]) for kind in ESTIMATOR_ORDER}
+    return result, {kind: np.asarray(stored[kind]) for kind in EstimatorKind}
 
 
 def cell_with_estimates(config):
@@ -152,7 +147,7 @@ def cell_with_estimates(config):
     assert len(blocks) == -(-config.replications // simulation.REPLICATION_BLOCK)
     return result, {
         kind: np.concatenate([block[kind] for block in blocks])
-        for kind in ESTIMATOR_ORDER
+        for kind in EstimatorKind
     }
 
 
@@ -161,7 +156,7 @@ def assert_matches_reference(config):
     reference, reference_estimates = reference_cell(config)
     assert batched.divergent_replications == reference.divergent_replications
     assert batched.mean_r == reference.mean_r
-    for kind in ESTIMATOR_ORDER:
+    for kind in EstimatorKind:
         assert batched.mse[kind] == pytest.approx(reference.mse[kind], rel=1e-8, abs=0)
         got, want = estimates[kind], reference_estimates[kind]
         assert got.shape == want.shape
@@ -547,7 +542,7 @@ class TestBenchmarkReference:
         for cell in outcomes:
             *mse, divergent = recorded[cell.config.p, cell.config.n, cell.config.rho]
             assert cell.divergent_replications == divergent
-            assert [cell.mse[kind] for kind in ESTIMATOR_ORDER] == pytest.approx(
+            assert [cell.mse[kind] for kind in EstimatorKind] == pytest.approx(
                 mse, rel=1e-6, abs=0.0
             )
 
