@@ -38,7 +38,7 @@ class DecompositionError(LiulogitError):
 
 
 class CellFailedError(LiulogitError):
-    """Every replication of a simulation cell diverged."""
+    """A simulation cell's design was refused or every replication diverged."""
 
     def __init__(self, message: str, n: int = 0, p: int = 0, rho: float = float("nan")):
         super().__init__(message)

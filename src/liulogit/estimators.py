@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecompositionError
-from .model import BatchFit, LogisticFit, stacked_gram
+from .model import BatchFit, LogisticFit, _GramMap
 
 __all__ = [
     "SpectralDecomposition",
@@ -250,10 +250,12 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     """Descending, sign-fixed eigenpairs of X'VX for every weight row of v_rows.
 
     The package's one eigendecomposition: X'VX is formed, exactly
-    symmetric, by ``stacked_gram`` for each row of v_rows (b, n) and all
-    rows share one stacked ``eigh``.
+    symmetric, by X's ``_GramMap`` for each row of v_rows (b, n) and all
+    rows share one stacked ``eigh``.  X may be that map itself, built once
+    for a design whose weights change; a plain X gets a map of its own.
     """
-    A = stacked_gram(np.asarray(X, dtype=float), np.asarray(v_rows, dtype=float))
+    gram = X if isinstance(X, _GramMap) else _GramMap(np.asarray(X, dtype=float))
+    A = gram(np.asarray(v_rows, dtype=float))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     # non-finite rows are decomposed as the identity, then lose their
     # eigenvalues

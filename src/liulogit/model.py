@@ -264,8 +264,8 @@ class BatchFit:
 
 
 # byte budget for the packed column products of one chunk of X's rows: a
-# design within one chunk gets stacked_gram's packed product, a larger one
-# is summed over chunks of that many rows
+# design within one chunk gets _GramMap's packed product, a larger one is
+# summed over chunks of that many rows
 GRAM_CHUNK_BYTES = 1 << 20
 
 
@@ -274,52 +274,65 @@ def _gram_chunk_rows(p: int) -> int:
     return max(1, GRAM_CHUNK_BYTES // (4 * p * (p + 1)))
 
 
-def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-    """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack.
+class _GramMap:
+    """v_rows (b, n) -> X'VX (b, p, p) for one design X, built once per X.
 
-    X's shape alone chooses the product, and no product mixes two weight
-    rows, so each row's bits do not depend on the other rows.  When the
-    packed column products K, x_ij x_il (j <= l), of all n rows fit
-    ``GRAM_CHUNK_BYTES`` (every study design), the p(p+1)/2 entries on and
-    above the diagonal are one matrix-vector product K v per weight row,
-    and the rows share K.  A larger X goes through in chunks of as many
-    rows, and each weight row sums the dense products (diag(v_c) X_c)' X_c
-    over them: building K there costs more than the one product a one-row
-    caller takes from it.  The upper triangle is mirrored, so the result is
-    exactly symmetric.
+    It holds what X alone decides.  X's shape chooses the product, and no
+    product mixes two weight rows, so each row's bits do not depend on the
+    other rows or on which call formed them.  When the packed column
+    products K, x_ij x_il (j <= l), of all n rows fit ``GRAM_CHUNK_BYTES``
+    (every study design), the p(p+1)/2 entries on and above the diagonal
+    are one matrix-vector product K v per weight row.  A larger X goes
+    through in chunks of as many rows, and each weight row sums the dense
+    products (diag(v_c) X_c)' X_c over them; K, m n floats, is not built.
+    The upper triangle is mirrored, so the result is exactly symmetric.
     """
-    n, p = X.shape
-    m = p * (p + 1) // 2
-    chunk = _gram_chunk_rows(p)
-    rows, cols = np.triu_indices(p)
-    gram = np.empty((v_rows.shape[0], p, p))
-    # inf/nan entries are for the callers to report, not a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n <= chunk:
-            # K fills the front of one GRAM_CHUNK_BYTES buffer on every call
-            # (n <= chunk fits its m n entries there): that block size keeps
-            # glibc's malloc from unmapping and re-faulting the pages of the
-            # IRLS temporaries (page faults in BENCH_packed_gram.json)
-            K = np.empty(GRAM_CHUNK_BYTES // 8)[: m * n].reshape(m, n)
+
+    def __init__(self, X: np.ndarray):
+        n, p = X.shape
+        self.X, self.chunk, self.K = X, _gram_chunk_rows(p), None
+        self.rows, self.cols = np.triu_indices(p)
+        if n <= self.chunk:
+            # K fills the front of one GRAM_CHUNK_BYTES block, held as long as
+            # the map: freeing a block that size raises glibc malloc's mmap
+            # threshold above the IRLS temporaries, which then stay on the heap
+            # instead of faulting in anew on each use (BENCH_design_gram.json)
+            m = self.rows.size
+            self.K = np.empty(GRAM_CHUNK_BYTES // 8)[: m * n].reshape(m, n)
             XT = np.ascontiguousarray(X.T)
             # the rows of K in np.triu_indices order: x_j x_l for l >= j
             top = 0
-            for j in range(p):
-                np.multiply(XT[j], XT[j:], out=K[top : top + p - j])
-                top += p - j
-            gram[:, rows, cols] = np.matmul(K, v_rows[..., None])[..., 0]
-        else:
-            scaled = np.empty((chunk, p))
-            part = np.empty((p, p))
-            for v, g in zip(v_rows, gram):
-                g.fill(0.0)
-                for lo in range(0, n, chunk):
-                    X_c = X[lo : lo + chunk]
-                    X_cv = scaled[: len(X_c)]
-                    np.multiply(X_c, v[lo : lo + chunk, None], out=X_cv)
-                    g += np.matmul(X_cv.T, X_c, out=part)
-    gram[:, cols, rows] = gram[:, rows, cols]
-    return gram
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(p):
+                    np.multiply(XT[j], XT[j:], out=self.K[top : top + p - j])
+                    top += p - j
+
+    def __call__(self, v_rows: np.ndarray) -> np.ndarray:
+        X, chunk, rows, cols = self.X, self.chunk, self.rows, self.cols
+        n, p = X.shape
+        gram = np.empty((v_rows.shape[0], p, p))
+        # inf/nan entries are for the callers to report, not a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.K is not None:
+                gram[:, rows, cols] = np.matmul(self.K, v_rows[..., None])[..., 0]
+            else:
+                scaled = np.empty((chunk, p))
+                part = np.empty((p, p))
+                for v, g in zip(v_rows, gram):
+                    g.fill(0.0)
+                    for lo in range(0, n, chunk):
+                        X_c = X[lo : lo + chunk]
+                        X_cv = scaled[: len(X_c)]
+                        np.multiply(X_c, v[lo : lo + chunk, None], out=X_cv)
+                        g += np.matmul(X_cv.T, X_c, out=part)
+        gram[:, cols, rows] = gram[:, rows, cols]
+        return gram
+
+
+def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+    """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack:
+    a ``_GramMap`` of X, built for this call and applied once."""
+    return _GramMap(X)(v_rows)
 
 
 def _stacked_xb(X: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -342,16 +355,6 @@ def _newton_steps(hessian: np.ndarray, score: np.ndarray):
     return steps, ~np.all(np.isfinite(steps), axis=-1)
 
 
-def _newton_system(X: np.ndarray, eta: np.ndarray, Y: np.ndarray, rows, clip: float):
-    """X'VX and the score X'(y - pi) of each given row, at its eta."""
-    pi = _clipped_logistic(eta[rows], clip)
-    residual = Y[rows]
-    residual -= pi
-    pi *= 1.0 - pi  # the Bernoulli weights v, in place
-    score = np.matmul(X.T, residual[..., None])[..., 0]
-    return stacked_gram(X, pi), score
-
-
 def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     """Fit every row of the 0/1 response matrix Y by IRLS with step-halving.
 
@@ -366,11 +369,13 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     included, adds its log-likelihood to the trace.  Rows leave the active
     set as they converge, stall or meet a singular system, which is
     flagged in ``singular``.  Every matrix product takes one row: a
-    matrix-vector product with X, or one of ``stacked_gram``'s products,
+    matrix-vector product with X, or one of ``_GramMap``'s products,
     chosen by X's shape alone.  So no BLAS call grows with the number of
-    rows, and each row's arithmetic is independent of the others.
+    rows, and each row's arithmetic is independent of the others.  X may
+    be a design's ``_GramMap``; a plain X gets one for all its steps.
     """
-    X = _as_design(X)
+    gram = X if isinstance(X, _GramMap) else _GramMap(_as_design(X))
+    X = gram.X
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != X.shape[0]:
         raise ValueError(f"Y must have shape (b, {X.shape[0]}), got {Y.shape}")
@@ -394,8 +399,12 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         if active.size == 0:
             break
         iterations[active] = iteration
-        hessian, score = _newton_system(X, eta, Y, active, clip)
-        step, bad = _newton_steps(hessian, score)
+        pi = _clipped_logistic(eta[active], clip)
+        residual = Y[active]
+        residual -= pi
+        pi *= 1.0 - pi  # the Bernoulli weights v, in place
+        score = np.matmul(X.T, residual[..., None])[..., 0]
+        step, bad = _newton_steps(gram(pi), score)
         singular[active[bad]] = True
 
         # step-halving: never accept a likelihood decrease beyond summation

@@ -29,7 +29,7 @@ from .estimators import (
     select_parameters,
     spectral_decompose_batch,
 )
-from .model import irls_fit_batch, logistic
+from .model import _GramMap, irls_fit_batch, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -223,6 +223,11 @@ def cell_design(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     return _build_design(config, np.random.default_rng(config.seed))
 
 
+def _cell_failed(config: SimulationConfig, reason: str) -> CellFailedError:
+    n, p, rho = config.n, config.p, config.rho
+    return CellFailedError(f"{reason} (n={n}, p={p}, rho={rho})", n=n, p=p, rho=rho)
+
+
 def simulate_cell(config: SimulationConfig) -> CellResult:
     """Run one cell and return simulated MSE per estimator.
 
@@ -238,19 +243,24 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     design: one ``rng.random((block, n))`` draw (the same stream as that
     many successive ``generate_response`` calls), one ``irls_fit_batch``,
     one ``spectral_decompose_batch`` and the rules and estimators over the
-    block's rows.  No row's IRLS arithmetic depends on the other rows, so
-    a replication's fit is what ``irls_fit``, the one-row case, gives for
-    it, and cell results depend on neither the process nor the worker
-    count.
+    block's rows.  Both take the cell's one ``_GramMap`` of X.  No row's
+    IRLS arithmetic depends on the other rows, so a replication's fit is
+    what ``irls_fit``, the one-row case, gives for it, and cell results
+    depend on neither the process nor the worker count.
 
     Raises
     ------
     CellFailedError
-        If every replication diverged.
+        If the design is refused (``newhouse_oman_beta``'s ``ValueError``)
+        or every replication diverged.
     """
     rng = np.random.default_rng(config.seed)
-    X, beta = _build_design(config, rng)
+    try:
+        X, beta = _build_design(config, rng)
+    except ValueError as exc:
+        raise _cell_failed(config, str(exc)) from exc
     pi = logistic(X @ beta)
+    gram = _GramMap(X)
 
     sums = {kind: 0.0 for kind in EstimatorKind}
     divergent = 0
@@ -261,8 +271,8 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     for start in range(0, config.replications, REPLICATION_BLOCK):
         size = min(REPLICATION_BLOCK, config.replications - start)
         Y = (rng.random((size, config.n)) < pi).astype(float)
-        fit = irls_fit_batch(X, Y)
-        decomp = spectral_decompose_batch(X, fit.v_diag)
+        fit = irls_fit_batch(gram, Y)
+        decomp = spectral_decompose_batch(gram, fit.v_diag)
         kept = fit.converged & decomp.positive_definite
         divergent += size - int(np.count_nonzero(kept))
         fit = fit.select(kept)
@@ -281,13 +291,7 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
 
     converged = config.replications - divergent
     if converged == 0:
-        raise CellFailedError(
-            f"all {config.replications} replications diverged "
-            f"(n={config.n}, p={config.p}, rho={config.rho})",
-            n=config.n,
-            p=config.p,
-            rho=config.rho,
-        )
+        raise _cell_failed(config, f"all {config.replications} replications diverged")
 
     return CellResult(
         config=config,
@@ -345,7 +349,7 @@ def study_configs(grid: StudyGrid, base: SimulationConfig) -> list[SimulationCon
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell in which every replication diverged, with the reason."""
+    """A cell that gave no result, with the reason."""
 
     config: SimulationConfig
     error: str

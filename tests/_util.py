@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from liulogit import Dataset, FitConfig, SpectralDecomposition, irls_fit
+from liulogit import Dataset, FitConfig, SpectralDecomposition, irls_fit, model
 
 TIGHT = FitConfig(tolerance=1e-10, max_iterations=200)
 
@@ -24,6 +24,19 @@ def gram_chunk_budget(n, p, chunks):
     """A ``GRAM_CHUNK_BYTES`` that sums an n x p X'VX over ``chunks`` chunks
     of X's rows."""
     return 8 * (p * (p + 1) // 2) * -(-n // chunks)
+
+
+def count_gram_maps(monkeypatch):
+    """Record the shape of X for every ``_GramMap`` built from now on."""
+    built = []
+    init = model._GramMap.__init__
+
+    def counting(self, X):
+        built.append(X.shape)
+        init(self, X)
+
+    monkeypatch.setattr(model._GramMap, "__init__", counting)
+    return built
 
 
 def random_decomposition(p, rng, lam_range=(0.05, 8.0)):

@@ -653,6 +653,26 @@ class TestSimulateCommand:
         assert "all 4 replications diverged" in failure["error"]
         assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
 
+    def test_refused_design_is_a_failed_cell(self, tmp_path, capsys):
+        # at rho = 1 - 1e-14 the design's X'X is not positive definite: that
+        # cell fails, the rho = 0.9 cell is kept, serial and parallel alike
+        args = ["simulate", "--p", "4", "--n", "200", "--rho", "0.9,0.99999999999999",
+                "--reps", "5", "--seed", "11"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == EXIT_NUMERIC
+        assert main(args + ["--out", str(out2), "--workers", "2"]) == EXIT_NUMERIC
+        assert main(args) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert err == ""
+        error = "design is rank deficient (n=200, p=4, rho=0.99999999999999)"
+        assert f"FAILED cell n=200 p=4 rho=0.99999999999999: {error}" in out.splitlines()
+        payload = json.loads((out1 / "study.json").read_text())
+        assert [cell["rho"] for cell in payload["cells"]] == [0.9]
+        assert payload["failures"] == [
+            {"error": error, "n": 200, "p": 4, "rho": 0.99999999999999}
+        ]
+        assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
+
     def test_failed_cell_listed_on_stdout(self, tmp_path, capsys):
         args = ["simulate", "--p", "2", "--n", "3", "--rho", "0.5,0.6",
                 "--reps", "4", "--seed", "3"]

@@ -16,13 +16,17 @@ from liulogit import (
     log_likelihood,
     logistic,
     predict_probabilities,
+    spectral_decompose_batch,
     weight_diagonal,
     working_response,
 )
+from liulogit import model
 from liulogit.model import _stable_loglik
 
 from _oracles import scalar_irls
-from _util import correlated_design, newton_rounding, random_dataset, tight_fit
+from _util import (
+    correlated_design, count_gram_maps, newton_rounding, random_dataset, tight_fit,
+)
 
 LN3 = math.log(3.0)
 
@@ -356,6 +360,32 @@ class TestIrlsFitBatch:
             assert fit.final_step_norm == row.final_step_norm[0]
             assert np.array_equal(fit.loglik_trace, trace[~np.isnan(trace)])
             assert fit.converged and len(fit.loglik_trace) == fit.iterations + 1
+
+    def test_one_gram_map_per_fit(self, monkeypatch):
+        # X's half of X'VX is built once, however many Newton steps use it
+        built = count_gram_maps(monkeypatch)
+        dataset, _ = random_dataset(300, 4, np.random.default_rng(18), rho=0.9)
+        fit = irls_fit(dataset)
+        assert fit.iterations >= 3
+        assert built == [(300, 4)]
+
+    @pytest.mark.parametrize("n", (300, 20_000), ids=["packed", "dense"])
+    def test_given_map_builds_none_and_keeps_bits(self, monkeypatch, n):
+        rng = np.random.default_rng(19)
+        X = correlated_design(n, 4, 0.9, rng)
+        Y = bernoulli_rows(X, np.array([0.5, -0.5, 1.0, 0.0]), 5, rng)
+        want = irls_fit_batch(X, Y)
+        gram = model._GramMap(X)
+        built = count_gram_maps(monkeypatch)
+        got = irls_fit_batch(gram, Y)
+        decomp = spectral_decompose_batch(gram, got.v_diag)
+        assert built == []
+        for name in ("beta", "v_diag", "iterations", "converged", "loglik_trace"):
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
+        alone = spectral_decompose_batch(X, want.v_diag)
+        assert np.array_equal(decomp.T, alone.T)
+        assert np.array_equal(decomp.lambdas, alone.lambdas)
 
     def test_select_takes_rows(self):
         rng = np.random.default_rng(15)

@@ -42,7 +42,7 @@ from liulogit import model, simulation
 from liulogit.simulation import REPLICATION_BLOCK, _build_design
 
 from _oracles import dense_decompose, scalar_irls
-from _util import duplicated_column_data
+from _util import count_gram_maps, duplicated_column_data
 
 SMALL_CELL = SimulationConfig(n=150, p=4, rho=0.9, replications=40, seed=2024)
 
@@ -305,6 +305,18 @@ class TestSimulateCell:
             assert stored.shape == (m, SMALL_CELL.p)
             recomputed = float(np.sum((stored - beta) ** 2) / m)
             assert recomputed == pytest.approx(result.mse[kind], abs=1e-10)
+
+    def test_gram_maps_do_not_grow_with_replications(self, monkeypatch):
+        # X's half of X'VX is built per design, not per block or Newton
+        # step: one block of 30 replications builds as many as three of 150
+        assert 30 <= REPLICATION_BLOCK < 150 / 2
+        built = count_gram_maps(monkeypatch)
+        counts = []
+        for replications in (30, 150):
+            built.clear()
+            simulate_cell(replace(SMALL_CELL, replications=replications))
+            counts.append(len(built))
+        assert counts[0] == counts[1] and set(built) == {(150, 4)}
 
     def test_determinism(self):
         a = simulate_cell(SMALL_CELL)
