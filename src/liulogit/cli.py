@@ -147,7 +147,8 @@ def _load_config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
         flag = "--" + key.replace("_", "-")
         action = command._option_string_actions.get(flag)
         if action is None or action.nargs != 0:
-            tokens.extend([flag, value])
+            # one token, so a value such as -1e-3 is not read as a flag
+            tokens.append(f"{flag}={value}")
         elif value.lower() in ("true", "yes"):
             tokens.append(flag)
         elif value.lower() not in ("false", "no"):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecompositionError
-from .model import BatchFit, LogisticFit, _GramMap
+from .model import BatchFit, LogisticFit, _design_map
 
 __all__ = [
     "SpectralDecomposition",
@@ -251,10 +251,10 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
 
     The package's one eigendecomposition: X'VX is formed, exactly
     symmetric, by X's ``_GramMap`` for each row of v_rows (b, n) and all
-    rows share one stacked ``eigh``.  X may be that map itself, built once
-    for a design whose weights change; a plain X gets a map of its own.
+    rows share one stacked ``eigh``.  X may be a design's map, built once
+    for all its weights; a plain X gets a map of its own.
     """
-    gram = X if isinstance(X, _GramMap) else _GramMap(np.asarray(X, dtype=float))
+    gram = _design_map(X)
     A = gram(np.asarray(v_rows, dtype=float))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     # non-finite rows are decomposed as the identity, then lose their

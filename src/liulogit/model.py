@@ -277,14 +277,16 @@ def _gram_chunk_rows(p: int) -> int:
 class _GramMap:
     """v_rows (b, n) -> X'VX (b, p, p) for one design X, built once per X.
 
-    It holds what X alone decides.  X's shape chooses the product, and no
-    product mixes two weight rows, so each row's bits do not depend on the
-    other rows or on which call formed them.  When the packed column
-    products K, x_ij x_il (j <= l), of all n rows fit ``GRAM_CHUNK_BYTES``
-    (every study design), the p(p+1)/2 entries on and above the diagonal
-    are one matrix-vector product K v per weight row.  A larger X goes
-    through in chunks of as many rows, and each weight row sums the dense
-    products (diag(v_c) X_c)' X_c over them; K, m n floats, is not built.
+    It holds what X alone decides and is the one route from X to X'VX (to
+    X'X in ``newhouse_oman_beta``): each caller takes a design's map or
+    builds one.  X's shape chooses the product, and no product mixes two
+    weight rows, so each row's bits do not depend on the other rows or on
+    which call formed them.  When the packed column products K,
+    x_ij x_il (j <= l), of all n rows fit ``GRAM_CHUNK_BYTES`` (every study
+    design), the p(p+1)/2 entries on and above the diagonal are one
+    matrix-vector product K v per weight row.  A larger X goes through in
+    chunks of as many rows, and each weight row sums the dense products
+    (diag(v_c) X_c)' X_c over them; K, m n floats, is not built.
     The upper triangle is mirrored, so the result is exactly symmetric.
     """
 
@@ -329,15 +331,9 @@ class _GramMap:
         return gram
 
 
-def stacked_gram(X: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
-    """X'VX for each weight row of v_rows (b, n), as a (b, p, p) stack:
-    a ``_GramMap`` of X, built for this call and applied once."""
-    return _GramMap(X)(v_rows)
-
-
-def _stacked_xb(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # X @ beta for each row of B, one matrix-vector product per row
-    return np.matmul(X, B[..., None])[..., 0]
+def _design_map(X, validate=lambda X: np.asarray(X, dtype=float)) -> _GramMap:
+    # X itself when it is a design's _GramMap, else a map of validate(X)
+    return X if isinstance(X, _GramMap) else _GramMap(validate(X))
 
 
 def _newton_steps(hessian: np.ndarray, score: np.ndarray):
@@ -374,7 +370,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     rows, and each row's arithmetic is independent of the others.  X may
     be a design's ``_GramMap``; a plain X gets one for all its steps.
     """
-    gram = X if isinstance(X, _GramMap) else _GramMap(_as_design(X))
+    gram = _design_map(X, _as_design)
     X = gram.X
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != X.shape[0]:
@@ -384,7 +380,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     tolerance = config.tolerance
 
     beta = np.zeros((Y.shape[0], X.shape[1]))
-    eta = _stacked_xb(X, beta)
+    eta = np.zeros(Y.shape)  # X beta at beta = 0
     # column t holds the log-likelihood after iteration t; an active row
     # accepted a step at every iteration so far
     trace = np.full((Y.shape[0], config.max_iterations + 1), np.nan)
@@ -424,7 +420,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
                 break
             scale = 0.5**halvings
             candidate = beta[rows[pending]] + scale * step[pending]
-            cand_eta = _stacked_xb(X, candidate)
+            cand_eta = np.matmul(X, candidate[..., None])[..., 0]
             cand_loglik = _stable_loglik(cand_eta, Y[rows[pending]])
             ok = cand_loglik >= floor[pending]
             taken = rows[pending[ok]]

@@ -29,7 +29,7 @@ from .estimators import (
     select_parameters,
     spectral_decompose_batch,
 )
-from .model import _GramMap, irls_fit_batch, logistic
+from .model import _design_map, _GramMap, irls_fit_batch, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -196,9 +196,10 @@ def newhouse_oman_beta(X) -> np.ndarray:
 
     That is ``spectral_decompose_batch`` at unit weights, with its order
     and sign rules; an X'X that is not ``positive_definite`` is refused.
+    X may be a design's ``_GramMap`` or a plain X, with the same bits.
     """
-    X = np.asarray(X, dtype=float)
-    decomp = spectral_decompose_batch(X, np.ones((1, X.shape[0])))
+    gram = _design_map(X)
+    decomp = spectral_decompose_batch(gram, np.ones((1, gram.X.shape[0])))
     if not decomp.positive_definite[0]:
         raise ValueError("design is rank deficient")
     return decomp.T[0, :, 0]
@@ -211,16 +212,18 @@ def generate_response(X, beta, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(X.shape[0]) < pi).astype(float)
 
 
-def _build_design(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+def _build_design(config: SimulationConfig, rng) -> tuple[_GramMap, np.ndarray]:
     X = generate_design(config.n, config.p, config.rho, rng)
     if config.design_scaling == "fixed_norm":
         X = scale_columns(X, DESIGN_COLUMN_NORM)
-    return X, newhouse_oman_beta(X)
+    gram = _GramMap(X)
+    return gram, newhouse_oman_beta(gram)
 
 
 def cell_design(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (X, beta) pair a cell fixes across its replications."""
-    return _build_design(config, np.random.default_rng(config.seed))
+    gram, beta = _build_design(config, np.random.default_rng(config.seed))
+    return gram.X, beta
 
 
 def _cell_failed(config: SimulationConfig, reason: str) -> CellFailedError:
@@ -243,10 +246,11 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     design: one ``rng.random((block, n))`` draw (the same stream as that
     many successive ``generate_response`` calls), one ``irls_fit_batch``,
     one ``spectral_decompose_batch`` and the rules and estimators over the
-    block's rows.  Both take the cell's one ``_GramMap`` of X.  No row's
-    IRLS arithmetic depends on the other rows, so a replication's fit is
-    what ``irls_fit``, the one-row case, gives for it, and cell results
-    depend on neither the process nor the worker count.
+    block's rows.  Both take the cell's one ``_GramMap`` of X, as beta's
+    ``newhouse_oman_beta`` does.  No row's IRLS arithmetic depends on the
+    other rows, so a replication's fit is what ``irls_fit``, the one-row
+    case, gives for it, and cell results depend on neither the process nor
+    the worker count.
 
     Raises
     ------
@@ -256,11 +260,10 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     """
     rng = np.random.default_rng(config.seed)
     try:
-        X, beta = _build_design(config, rng)
+        gram, beta = _build_design(config, rng)
     except ValueError as exc:
         raise _cell_failed(config, str(exc)) from exc
-    pi = logistic(X @ beta)
-    gram = _GramMap(X)
+    pi = logistic(gram.X @ beta)
 
     sums = {kind: 0.0 for kind in EstimatorKind}
     divergent = 0

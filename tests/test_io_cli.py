@@ -1128,6 +1128,18 @@ class TestConfigFile:
         assert report["d"] == pytest.approx(0.3)  # explicit flag wins
         assert report["k_source"] == "user"
 
+    def test_negative_value_is_a_value(self, toy_csv, tmp_path, capsys):
+        # a line is one --key=value token, so -1e-3 is not taken for a flag;
+        # on the command line the same value is written --d=-1e-3
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {toy_csv}\nk = 0.9\nd = -1e-3\nformat = json\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert json.loads(from_file)["d"] == -1e-3
+        argv = ["fit", "--input", str(toy_csv), "--k", "0.9", "--d=-1e-3"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == from_file
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         assert main(["fit", "--config", str(tmp_path / "absent.cfg")]) == EXIT_USAGE
         message = capsys.readouterr().err

@@ -142,7 +142,7 @@ def check_weight_stack(X, V):
             got = getattr(batch, name)[i]
             assert np.array_equal(got, getattr(alone, name)[0], equal_nan=True), (i, name)
 
-    gram = model.stacked_gram(X, V)
+    gram = model._GramMap(X)(V)
     assert np.array_equal(gram, gram.swapaxes(-1, -2), equal_nan=True)
     # one map of X, built once and applied to the stack and to each row
     shared = model._GramMap(X)
@@ -186,8 +186,8 @@ def test_rows_over_chunks_at_the_default_budget():
     infinite[rng.integers(n)] = np.inf
     kinds = ("fitted", "zero", "indefinite", "fitted")
     V = np.stack([weight_row(kind, n, rng) for kind in kinds] + [infinite])
-    gram = model.stacked_gram(X, V)
+    gram = model._GramMap(X)(V)
     for i in range(V.shape[0]):
-        alone = model.stacked_gram(X, V[i : i + 1])[0]
+        alone = model._GramMap(X)(V[i : i + 1])[0]
         assert np.array_equal(gram[i], alone, equal_nan=True), i
     check_weight_stack(X, V)

@@ -67,7 +67,8 @@ def reference_cell(config):
     kept replications' estimates.
     """
     rng = np.random.default_rng(config.seed)
-    X, beta = _build_design(config, rng)
+    gram, beta = _build_design(config, rng)
+    X = gram.X
     sums = {kind: 0.0 for kind in EstimatorKind}
     stored = {kind: [] for kind in EstimatorKind}
     divergent = 0
@@ -243,15 +244,20 @@ class TestNewhouseOmanBeta:
     @pytest.mark.parametrize("scaling", ["fixed_norm", "raw"])
     def test_leading_column_of_the_package_decomposition(self, scaling):
         config = SimulationConfig(n=200, p=6, rho=0.99, design_scaling=scaling)
-        X, _ = cell_design(config)
+        X, beta = cell_design(config)
         expected = spectral_decompose(X, np.ones(config.n)).T[:, 0]
         assert np.array_equal(newhouse_oman_beta(X), expected)
+        # the cell reads beta from its map: the same bits as from X
+        assert np.array_equal(newhouse_oman_beta(model._GramMap(X)), expected)
+        assert np.array_equal(beta, expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicated_column_refused_like_the_decomposition(self, seed):
         X = duplicated_column_data(seed).X
-        with pytest.raises(ValueError, match="design is rank deficient"):
-            newhouse_oman_beta(X)
+        for design in (X, model._GramMap(X)):
+            with pytest.raises(ValueError) as err:
+                newhouse_oman_beta(design)
+            assert str(err.value) == "design is rank deficient"
         with pytest.raises(DecompositionError, match="numerically singular"):
             spectral_decompose(X, np.ones(X.shape[0]))
 
@@ -307,16 +313,15 @@ class TestSimulateCell:
             assert recomputed == pytest.approx(result.mse[kind], abs=1e-10)
 
     def test_gram_maps_do_not_grow_with_replications(self, monkeypatch):
-        # X's half of X'VX is built per design, not per block or Newton
-        # step: one block of 30 replications builds as many as three of 150
+        # X's half of X'X and X'VX is built once per design, not for beta,
+        # per block or per Newton step: one block of 30 replications builds
+        # one map, and so do three blocks of 150
         assert 30 <= REPLICATION_BLOCK < 150 / 2
         built = count_gram_maps(monkeypatch)
-        counts = []
         for replications in (30, 150):
             built.clear()
             simulate_cell(replace(SMALL_CELL, replications=replications))
-            counts.append(len(built))
-        assert counts[0] == counts[1] and set(built) == {(150, 4)}
+            assert built == [(150, 4)], replications
 
     def test_determinism(self):
         a = simulate_cell(SMALL_CELL)
@@ -411,7 +416,7 @@ class TestStudyGrid:
         assert len(StudyGrid()) == 48
 
     def test_every_default_design_is_one_gram_chunk(self):
-        # a design within one chunk gets stacked_gram's packed product,
+        # a design within one chunk gets _GramMap's packed product,
         # whose bits study.json records; a larger one gets dense products
         grid = StudyGrid()
         for p in grid.p_values:
