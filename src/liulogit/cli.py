@@ -32,7 +32,7 @@ from .estimators import (
     EstimatorKind,
     EstimatorSpec,
     ShrinkageParams,
-    point_estimate,
+    batch_estimates,
     select_parameters,
     spectral_decompose,
 )
@@ -264,12 +264,8 @@ def _fit_pipeline(args, dataset):
 def _run_fit(args) -> int:
     dataset = _read_dataset(args)
     fit, decomp, r, params, clamped = _fit_pipeline(args, dataset)
-    coefficients = {
-        kind.value: point_estimate(
-            fit, dataset.X, EstimatorSpec.of(kind, params, r), decomp
-        ).tolist()
-        for kind in args.estimators
-    }
+    estimates = batch_estimates(fit, decomp, r, params.k, params.d)
+    coefficients = {kind.value: estimates[kind].tolist() for kind in args.estimators}
     lambdas = decomp.lambdas
     report = {
         "coefficients": coefficients,

@@ -30,7 +30,7 @@ class SingularSystemError(LiulogitError):
 
 
 class DecompositionError(LiulogitError):
-    """An eigendecomposition target was non-finite or not positive definite."""
+    """X'VX was non-finite or not positive definite, or an error matrix overflowed."""
 
     def __init__(self, message: str, smallest_eigenvalue: float = float("nan")):
         super().__init__(message)

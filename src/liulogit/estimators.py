@@ -383,9 +383,9 @@ def choose_k(lambdas, alpha_hat, d) -> KSelection:
 
     k = mean_j (lambda_j - d*(1 + lambda_j*alpha_j^2)) / (lambda_j*alpha_j^2),
     with |alpha_j| floored at ``ALPHA_FLOOR`` to avoid division blow-up.  A
-    nonpositive result is clamped to ``K_MIN`` and flagged.  ``lambdas``,
-    ``alpha_hat`` and ``d`` may carry leading batch axes; both fields are
-    then arrays of the batch shape, else a float and a bool.
+    nonpositive or overflowed k is clamped to ``K_MIN`` and flagged, with no
+    warning.  ``lambdas``, ``alpha_hat`` and ``d`` may carry leading batch axes;
+    both fields are then arrays of the batch shape, else a float and a bool.
     """
     lam = np.asarray(lambdas, dtype=float)
     alpha = np.asarray(alpha_hat, dtype=float)
@@ -395,7 +395,8 @@ def choose_k(lambdas, alpha_hat, d) -> KSelection:
         raise ValueError("lambdas must be positive")
     d = np.asarray(d, dtype=float)[..., None]
     alpha_sq = np.maximum(alpha**2, ALPHA_FLOOR**2)
-    k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.mean((lam - d * (1.0 + lam * alpha_sq)) / (lam * alpha_sq), axis=-1)
     clamped = (k <= 0.0) | ~np.isfinite(k)
     k = np.where(clamped, K_MIN, k)
     return KSelection(float(k), bool(clamped)) if k.ndim == 0 else KSelection(k, clamped)
@@ -437,7 +438,8 @@ def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> di
 
     Row i is ``point_estimate`` for that row's fit and eigendecomposition,
     component count ``r[i]`` and parameters ``k[i]``, ``d[i]``; ``decomp``
-    already carries every X'VX, so no design matrix is needed.
+    already carries every X'VX, so no design matrix is needed.  ``liulogit
+    fit`` passes one ``LogisticFit``, its ``decomp`` and scalar r, k and d.
     """
     return {
         kind: _apply_filter(

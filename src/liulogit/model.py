@@ -284,9 +284,10 @@ class _GramMap:
     which call formed them.  When the packed column products K,
     x_ij x_il (j <= l), of all n rows fit ``GRAM_CHUNK_BYTES`` (every study
     design), the p(p+1)/2 entries on and above the diagonal are one
-    matrix-vector product K v per weight row.  A larger X goes through in
-    chunks of as many rows, and each weight row sums the dense products
-    (diag(v_c) X_c)' X_c over them; K, m n floats, is not built.
+    matrix-vector product K v per weight row, K's rows and K v's entries
+    both in the order of the map's index pair ``np.triu_indices(p)``.  A
+    larger X goes through in chunks of as many rows, and each weight row sums
+    the dense products (diag(v_c) X_c)' X_c over them; K is not built.
     The upper triangle is mirrored, so the result is exactly symmetric.
     """
 
@@ -301,32 +302,25 @@ class _GramMap:
             # instead of faulting in anew on each use (BENCH_design_gram.json)
             m = self.rows.size
             self.K = np.empty(GRAM_CHUNK_BYTES // 8)[: m * n].reshape(m, n)
-            XT = np.ascontiguousarray(X.T)
-            # the rows of K in np.triu_indices order: x_j x_l for l >= j
-            top = 0
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(p):
-                    np.multiply(XT[j], XT[j:], out=self.K[top : top + p - j])
-                    top += p - j
+                np.multiply(X.T[self.rows], X.T[self.cols], out=self.K)
 
     def __call__(self, v_rows: np.ndarray) -> np.ndarray:
         X, chunk, rows, cols = self.X, self.chunk, self.rows, self.cols
         n, p = X.shape
-        gram = np.empty((v_rows.shape[0], p, p))
+        gram = np.zeros((v_rows.shape[0], p, p))
         # inf/nan entries are for the callers to report, not a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.K is not None:
                 gram[:, rows, cols] = np.matmul(self.K, v_rows[..., None])[..., 0]
             else:
                 scaled = np.empty((chunk, p))
-                part = np.empty((p, p))
                 for v, g in zip(v_rows, gram):
-                    g.fill(0.0)
                     for lo in range(0, n, chunk):
                         X_c = X[lo : lo + chunk]
                         X_cv = scaled[: len(X_c)]
                         np.multiply(X_c, v[lo : lo + chunk, None], out=X_cv)
-                        g += np.matmul(X_cv.T, X_c, out=part)
+                        g += X_cv.T @ X_c
         gram[:, cols, rows] = gram[:, rows, cols]
         return gram
 

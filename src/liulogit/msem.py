@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DecompositionError
 from .estimators import (
     ComponentSplit,
     EstimatorKind,
@@ -118,12 +119,17 @@ def asymptotic_msem(
     ``beta`` is the coefficient vector the bias formulas are evaluated at:
     the true coefficients in simulation settings, the plugged-in ML fit in
     data analysis.  The caller records which (``compare``: ``beta_source``).
+    An MSEM that overflows (a huge d or beta) raises ``DecompositionError``
+    naming the estimator, and no RuntimeWarning.
     """
     beta = _beta_vector(beta, decomp.p)
-    variances, u = _error_terms(spec, decomp, beta)
-    cov = (decomp.T * variances) @ decomp.T.T
-    bias = decomp.T @ u
-    msem = cov + np.outer(bias, bias)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances, u = _error_terms(spec, decomp, beta)
+        cov = (decomp.T * variances) @ decomp.T.T
+        bias = decomp.T @ u
+        msem = cov + np.outer(bias, bias)
+    if not np.all(np.isfinite(msem)):
+        raise DecompositionError(f"the MSEM of {spec.kind.display_name} is not finite")
     return MsemReport(
         estimator=spec,
         bias=bias,
@@ -197,10 +203,13 @@ def theorem_3_1_condition(
     """Scalar condition for PCLTL to beat ML, requiring d < k and d + k > 0.
 
     The retained term weights each squared eigen-coordinate of beta by
-    (k+d)^2 / (2(k+d) + (k^2-d^2)/lambda); the discarded term weights by
-    the tail eigenvalues.  The direct eigenvalue test of the actual MSEM
-    difference is always computed and its agreement with the scalar
-    condition recorded, so any disagreement is observable data.
+    (k+d) / (2 + (k-d)/lambda), the published (k+d)^2 / (2(k+d) +
+    (k^2-d^2)/lambda) divided through by k + d > 0, as k^2 - d^2 =
+    (k+d)(k-d); squaring neither k nor d, it does not overflow at a large
+    finite k.  The discarded term weights by the tail eigenvalues.  The
+    direct eigenvalue test of the actual MSEM difference is always computed
+    and its agreement with the scalar condition recorded, so any
+    disagreement is observable data.
     """
     beta = _beta_vector(beta, split.p)
     k, d = params.k, params.d
@@ -209,9 +218,7 @@ def theorem_3_1_condition(
     alpha = split.decomposition.T.T @ beta
     alpha_r = alpha[: split.r]
     alpha_tail = alpha[split.r :]
-    retained = np.sum(
-        (k + d) ** 2 * alpha_r**2 / (2.0 * (k + d) + (k**2 - d**2) / split.lambdas_r)
-    )
+    retained = np.sum((k + d) * alpha_r**2 / (2.0 + (k - d) / split.lambdas_r))
     discarded = np.sum(split.lambdas_tail * alpha_tail**2)
     value = float(retained + discarded)
     return _checked_verdict(

@@ -508,6 +508,18 @@ class TestFitCommand:
             "numerical failure: X'VX singular or IRLS step non-finite at iteration 1\n"
         )
 
+    @pytest.mark.parametrize("d", ["1e200", "1e308"])
+    def test_huge_d_clamps_k_without_a_warning(self, toy_csv, capsys, d):
+        # at d = 1e308 the k rule's terms overflow: k is clamped, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(toy_csv), "--d", d, "--format", "json"])
+        assert code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["k_clamped"] and report["d"] == float(d)
+
     def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
         assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: r must lie in [1, 3]\n"
@@ -1015,6 +1027,33 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert message.format(path=path) in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_large_finite_k_reads_t31(self, toy_csv, capsys):
+        # (k + d)^2 overflows a float at k = 1e160: T3.1 must not square k
+        code = main(["compare", "--input", str(toy_csv), "--pair", "pcltl:ml",
+                     "--k", "1e160", "--format", "json"])
+        assert code == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["comparisons"]
+        assert row["theorem"] == "T3_1" and row["agreement"] is True
+        assert np.isfinite(row["condition_value"])
+
+    @pytest.mark.parametrize("source", ["d", "beta_file"])
+    def test_overflowing_msem_is_one_numerical_failure(self, toy_csv, tmp_path,
+                                                       capsys, source):
+        # d = 1e200 or beta = (1e200, 0, 0) overflows PCLTL's error matrix
+        if source == "d":
+            flags = ["--d", "1e200"]
+        else:
+            path = tmp_path / "beta.txt"
+            path.write_text("1e200 0 0\n")
+            flags = ["--beta-file", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["compare", "--input", str(toy_csv), *flags])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numerical failure: the MSEM of PCLTL is not finite\n"
+        )
 
     def test_beta_length_is_checked_before_irls(self, tmp_path, capsys):
         # y = 1[x1 > 0] is completely separated, so IRLS would not converge

@@ -142,11 +142,10 @@ def check_weight_stack(X, V):
             got = getattr(batch, name)[i]
             assert np.array_equal(got, getattr(alone, name)[0], equal_nan=True), (i, name)
 
-    gram = model._GramMap(X)(V)
-    assert np.array_equal(gram, gram.swapaxes(-1, -2), equal_nan=True)
     # one map of X, built once and applied to the stack and to each row
     shared = model._GramMap(X)
-    assert np.array_equal(shared(V), gram, equal_nan=True)
+    gram = shared(V)
+    assert np.array_equal(gram, gram.swapaxes(-1, -2), equal_nan=True)
     for i in range(V.shape[0]):
         assert np.array_equal(shared(V[i : i + 1])[0], gram[i], equal_nan=True), i
     # each entry is a sum of n products, so both forms are within

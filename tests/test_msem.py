@@ -257,6 +257,23 @@ class TestTheorem31:
         assert verdict.condition_value == pytest.approx(1.0, abs=1e-8)
         assert verdict.holds
 
+    def test_value_is_the_published_condition(self):
+        # the retained weight is computed divided through by k + d; it must
+        # equal the published (k+d)^2 / (2(k+d) + (k^2-d^2)/lambda)
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            p = int(rng.integers(2, 5))
+            decomp = random_decomposition(p, rng)
+            params = random_params(rng)
+            k, d, r = params.k, params.d, int(rng.integers(1, p + 1))
+            beta = rng.standard_normal(p)
+            alpha, lam = decomp.T.T @ beta, decomp.lambdas
+            published = np.sum(
+                (k + d) ** 2 * alpha[:r] ** 2 / (2 * (k + d) + (k**2 - d**2) / lam[:r])
+            ) + np.sum(lam[r:] * alpha[r:] ** 2)
+            verdict = theorem_3_1_condition(beta, decomp.split(r), params)
+            assert verdict.condition_value == pytest.approx(published, rel=1e-12)
+
     def test_agreement_with_oracle_on_random_instances(self):
         rng = np.random.default_rng(44)
         agreements = []
