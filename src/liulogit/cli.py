@@ -2,7 +2,11 @@
 
 ``main(argv)`` returns the exit code: 0 success, 1 usage error, 2 data
 error, 3 numerical failure. Each error is one line on stderr; failed
-``simulate`` cells are listed with the results instead. The comma lists
+``simulate`` cells are listed with the results instead. A stdout closed
+by its reader (``| head``) ends the command quietly with status 141,
+128 + SIGPIPE, as a shell reports a writer killed by its pipe. ``compare``
+forms the error matrices in the order the estimators first appear in
+--pair, so when several overflow the first one is named. The comma lists
 (--estimators, --pair, --p, --n, --rho) are checked while the arguments
 are parsed, and empty tokens are skipped. The environment variable
 ``LIULOGIT_SEED`` supplies the default seed, and ``--config FILE`` (or
@@ -59,6 +63,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# 128 + SIGPIPE, the status a shell reports for a writer killed by its pipe
+_EXIT_CLOSED_STDOUT = 141
 
 SEED_ENV_VAR = "LIULOGIT_SEED"
 
@@ -378,7 +384,7 @@ def _run_compare(args) -> int:
 
     reports = {
         kind: asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta)
-        for kind in set().union(*args.pair)
+        for kind in dict.fromkeys(kind for pair in args.pair for kind in pair)
     }
     rows = []
     for challenger, incumbent in args.pair:
@@ -442,11 +448,15 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_apply_config_file(argv, parser))
-        if args.command == "fit":
-            return _run_fit(args)
-        if args.command == "simulate":
-            return _run_simulate(args)
-        return _run_compare(args)
+        run = {"fit": _run_fit, "simulate": _run_simulate, "compare": _run_compare}
+        code = run[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (say, `| head`); stdout now points at
+        # devnull, so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_STDOUT
     except DatasetFormatError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA

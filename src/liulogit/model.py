@@ -263,14 +263,13 @@ class BatchFit:
         return BatchFit(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-# byte budget for the packed column products of one chunk of X's rows: a
-# design within one chunk gets _GramMap's packed product, a larger one is
-# summed over chunks of that many rows
+# byte budget for the packed column products K of X's rows: a design whose K
+# fits gets _GramMap's packed product, a larger one its dense product
 GRAM_CHUNK_BYTES = 1 << 20
 
 
 def _gram_chunk_rows(p: int) -> int:
-    # the rows of X whose p(p+1)/2 packed column products fit the budget
+    # the most rows of X whose p(p+1)/2 packed column products fit the budget
     return max(1, GRAM_CHUNK_BYTES // (4 * p * (p + 1)))
 
 
@@ -286,16 +285,16 @@ class _GramMap:
     design), the p(p+1)/2 entries on and above the diagonal are one
     matrix-vector product K v per weight row, K's rows and K v's entries
     both in the order of the map's index pair ``np.triu_indices(p)``.  A
-    larger X goes through in chunks of as many rows, and each weight row sums
-    the dense products (diag(v_c) X_c)' X_c over them; K is not built.
-    The upper triangle is mirrored, so the result is exactly symmetric.
+    larger X keeps a contiguous copy XT of X' instead, and each weight row
+    is one dense product (X' diag(v)) X; K is not built.  The upper
+    triangle is mirrored, so the result is exactly symmetric.
     """
 
     def __init__(self, X: np.ndarray):
         n, p = X.shape
-        self.X, self.chunk, self.K = X, _gram_chunk_rows(p), None
+        self.X, self.K, self.XT = X, None, None
         self.rows, self.cols = np.triu_indices(p)
-        if n <= self.chunk:
+        if n <= _gram_chunk_rows(p):
             # K fills the front of one GRAM_CHUNK_BYTES block, held as long as
             # the map: freeing a block that size raises glibc malloc's mmap
             # threshold above the IRLS temporaries, which then stay on the heap
@@ -304,23 +303,20 @@ class _GramMap:
             self.K = np.empty(GRAM_CHUNK_BYTES // 8)[: m * n].reshape(m, n)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(X.T[self.rows], X.T[self.cols], out=self.K)
+        else:
+            self.XT = np.ascontiguousarray(X.T)
 
     def __call__(self, v_rows: np.ndarray) -> np.ndarray:
-        X, chunk, rows, cols = self.X, self.chunk, self.rows, self.cols
-        n, p = X.shape
-        gram = np.zeros((v_rows.shape[0], p, p))
+        rows, cols = self.rows, self.cols
+        p = self.X.shape[1]
+        gram = np.empty((v_rows.shape[0], p, p))
         # inf/nan entries are for the callers to report, not a RuntimeWarning
         with np.errstate(over="ignore", invalid="ignore"):
             if self.K is not None:
                 gram[:, rows, cols] = np.matmul(self.K, v_rows[..., None])[..., 0]
             else:
-                scaled = np.empty((chunk, p))
                 for v, g in zip(v_rows, gram):
-                    for lo in range(0, n, chunk):
-                        X_c = X[lo : lo + chunk]
-                        X_cv = scaled[: len(X_c)]
-                        np.multiply(X_c, v[lo : lo + chunk, None], out=X_cv)
-                        g += X_cv.T @ X_c
+                    np.matmul(self.XT * v, self.X, out=g)
         gram[:, cols, rows] = gram[:, rows, cols]
         return gram
 

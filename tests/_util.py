@@ -1,10 +1,22 @@
 """Shared test helpers: data generators and tightly converged fits."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from liulogit import Dataset, FitConfig, SpectralDecomposition, irls_fit, model
 
 TIGHT = FitConfig(tolerance=1e-10, max_iterations=200)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(**variables):
+    """The environment for a fresh interpreter that imports liulogit from
+    this checkout's ``src``, with ``variables`` added."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
 
 
 def correlated_design(n, p, rho, rng):
@@ -21,8 +33,9 @@ def newton_rounding(X, v):
 
 
 def gram_chunk_budget(n, p, chunks):
-    """A ``GRAM_CHUNK_BYTES`` that sums an n x p X'VX over ``chunks`` chunks
-    of X's rows."""
+    """A ``GRAM_CHUNK_BYTES`` that fits the packed products of about
+    n / ``chunks`` rows, so an n x p X'VX takes the dense path when
+    ``chunks`` > 1."""
     return 8 * (p * (p + 1) // 2) * -(-n // chunks)
 
 

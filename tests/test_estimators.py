@@ -149,7 +149,7 @@ class TestSpectralDecompose:
         [
             # one infinite weight: the product's sums can meet inf - inf
             (500, 6, np.inf, 1.0),
-            # the same over 4 chunks of dense products
+            # the same in the dense product of a larger design
             (20_000, 6, np.inf, 1.0),
             # a column whose squares overflow
             (100, 3, 0.25, 1e200),

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -36,7 +38,7 @@ import liulogit.msem
 from liulogit import cli, model
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
-from _util import correlated_design, duplicated_column_data, gram_chunk_budget
+from _util import correlated_design, duplicated_column_data, gram_chunk_budget, src_env
 
 
 class TestParseDataset:
@@ -640,8 +642,11 @@ class TestSimulateCommand:
             # cells and selects r per replication
             ["--p", "4", "--n", "15,200", "--rho", "0.9,0.999", "--reps", "150",
              "--design-scaling", "raw", "--min-components", "1", "--seed", "11"],
+            # the packed products of 14 000 rows exceed GRAM_CHUNK_BYTES at
+            # p = 4 (13 107 rows fit), so this cell takes _GramMap's dense path
+            ["--p", "4", "--n", "14000", "--rho", "0.9", "--reps", "70", "--seed", "5"],
         ],
-        ids=["fixed", "raw"],
+        ids=["fixed", "raw", "dense"],
     )
     def test_byte_identical_reruns(self, tmp_path, capsys, grid):
         args = ["simulate", *grid]
@@ -1055,6 +1060,35 @@ class TestCompareCommand:
             "numerical failure: the MSEM of PCLTL is not finite\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--d", "1e200", "--pair", "pcltl:ml,pcltl:pclr,pcltl:ltl,ltl:ml"],
+            ["--beta-file", "{beta}", "--pair", "pcltl:ml,pcltl:pclr"],
+        ],
+        ids=["d", "beta_file"],
+    )
+    def test_overflow_names_one_estimator_under_every_hash_seed(self, tmp_path, flags):
+        # two MSEMs overflow here (PCLTL and LTL at d = 1e200, PCLTL and PCLR
+        # at beta = (1e200, 0, 0)); the first kind --pair names is reported,
+        # whatever order the process's string hashes give a set
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((300, 3))
+        y = rng.random(300) < 1 / (1 + np.exp(-X @ [0.8, -0.5, 0.3]))
+        data, beta = tmp_path / "data.csv", tmp_path / "beta.txt"
+        np.savetxt(data, np.column_stack([y, X]), delimiter=",")
+        beta.write_text("1e200 0 0\n")
+        argv = [sys.executable, "-m", "liulogit.cli", "compare", "--input", str(data),
+                *(flag.format(beta=beta) for flag in flags)]
+        runs = [
+            subprocess.Popen(argv, env=src_env(PYTHONHASHSEED=str(seed)),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for seed in range(8)
+        ]
+        errors = {run.communicate()[1] for run in runs}
+        assert [run.returncode for run in runs] == [EXIT_NUMERIC] * 8
+        assert errors == {"numerical failure: the MSEM of PCLTL is not finite\n"}
+
     def test_beta_length_is_checked_before_irls(self, tmp_path, capsys):
         # y = 1[x1 > 0] is completely separated, so IRLS would not converge
         rng = np.random.default_rng(72)
@@ -1075,6 +1109,28 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         header = out.splitlines()[0].split("\t")
         assert header[0] == "pair" and "smse_challenger" in header
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--input", "{csv}"],
+     ["simulate", "--p", "4", "--n", "200", "--rho", "0.9", "--reps", "3"]],
+    ids=["fit", "simulate"],
+)
+def test_closed_stdout_exits_quietly(toy_csv, argv):
+    # stdout is a pipe whose read end is closed before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "liulogit.cli", *(a.format(csv=toy_csv) for a in argv)],
+            env=src_env(), stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ""
+    assert result.returncode == 141
 
 
 PINNED_REPORTS = json.loads(
@@ -1134,8 +1190,8 @@ class TestPinnedReports:
             ("compare_beta_file", ["compare", *PAIRS, "--beta-file", "{beta}"]),
         ],
     )
-    # the default budget takes the 300 x 4 X'VX as one packed K v; six
-    # 50-row chunks take the dense per-chunk products of a larger design
+    # the default budget takes the 300 x 4 X'VX as one packed K v; a budget
+    # of 50 rows' packed products takes the dense product of a larger design
     @pytest.mark.parametrize(
         "budget",
         [model.GRAM_CHUNK_BYTES, gram_chunk_budget(300, 4, 6)],

@@ -7,9 +7,9 @@ probability clip.  Every row of the stack must be bitwise what the same
 response gets alone.  On a full-rank design it must agree with the scalar
 oracle loop; on a duplicated column it must not end in a usable fit.  The
 stacked eigendecomposition of X'VX keeps the same bitwise row contract,
-also when X'VX is summed over several chunks of X's rows, and X'VX, in
-either of its product forms, is exactly symmetric and within summation
-roundoff of the dense one.
+also when X'VX takes the dense product of a design too large for the
+packed one, and X'VX, in either of its product forms, is exactly
+symmetric and within summation roundoff of the dense one.
 """
 
 from dataclasses import fields
@@ -166,8 +166,8 @@ def test_decomposition_rows_are_independent(stack):
 @PROPERTY_SETTINGS
 @given(weight_stacks(), st.integers(2, 5))
 def test_decomposition_rows_are_independent_over_chunks(stack, chunks):
-    # a budget of ceil(n / chunks) rows of packed products: X'VX is summed
-    # over 2 to 5 chunks of X's rows, whatever p
+    # a budget of ceil(n / chunks) rows of packed products: X'VX takes the
+    # dense product, whatever p
     X, V = stack
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "GRAM_CHUNK_BYTES", gram_chunk_budget(*X.shape, chunks))
@@ -176,7 +176,7 @@ def test_decomposition_rows_are_independent_over_chunks(stack, chunks):
 
 def test_rows_over_chunks_at_the_default_budget():
     # 2 383 rows of 55 packed products fill GRAM_CHUNK_BYTES, so a
-    # 20 000 x 10 X'VX is summed over 9 chunks of dense products, unpatched
+    # 20 000 x 10 X'VX takes the dense product, unpatched
     n, p = 20_000, 10
     assert model._gram_chunk_rows(p) < n
     rng = np.random.default_rng(21)

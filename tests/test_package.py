@@ -6,7 +6,6 @@ here so that the documented API cannot drift from the code.
 """
 
 import importlib
-import os
 import pkgutil
 import re
 import subprocess
@@ -18,8 +17,9 @@ import pytest
 import liulogit
 from liulogit import errors
 
+from _util import SRC, src_env
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = README.parent / "src"
 
 # the submodules that declare a public surface (cli declares none)
 PUBLIC_MODULES = [
@@ -71,10 +71,9 @@ def test_cli_start_up_loads_no_scipy():
         "print(liulogit.cli.__file__)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -56,6 +56,13 @@ PARTIAL_FIXED = SimulationConfig(
     min_components=1, components=None,
 )
 
+# the cell of test_byte_identical_reruns[dense]: 14 000 rows at p = 4 exceed
+# the packed budget, so X'VX takes _GramMap's dense path
+(DENSE_CELL,) = study_configs(
+    StudyGrid((4,), (14000,), (0.9,)),
+    SimulationConfig(n=14000, p=4, rho=0.9, replications=70, seed=5),
+)
+
 
 def reference_cell(config):
     """The per-replication cell loop: one scalar IRLS fit per replication.
@@ -381,6 +388,11 @@ class TestBatchedCellOracle:
         assert config.replications > 2 * REPLICATION_BLOCK
         assert_matches_reference(config)
 
+    def test_dense_gram_cell(self):
+        gram, _ = _build_design(DENSE_CELL, np.random.default_rng(DENSE_CELL.seed))
+        assert gram.K is None
+        assert_matches_reference(DENSE_CELL)
+
     def test_partial_divergence_raw_scaling(self):
         # raw mode also runs the per-replication component rule
         result = assert_matches_reference(PARTIAL_RAW)
@@ -416,8 +428,9 @@ class TestStudyGrid:
         assert len(StudyGrid()) == 48
 
     def test_every_default_design_is_one_gram_chunk(self):
-        # a design within one chunk gets _GramMap's packed product,
-        # whose bits study.json records; a larger one gets dense products
+        # a design whose packed products fit the budget gets _GramMap's
+        # packed product, whose bits study.json records; a larger one gets
+        # one dense product per weight row
         grid = StudyGrid()
         for p in grid.p_values:
             for n in grid.n_values:
