@@ -36,9 +36,8 @@ from .estimators import (
     EstimatorKind,
     EstimatorSpec,
     ShrinkageParams,
-    batch_estimates,
-    select_parameters,
-    spectral_decompose,
+    _estimate_block,
+    _refuse_indefinite,
 )
 from .io import (
     build_study_tables,
@@ -48,7 +47,7 @@ from .io import (
     render_table_text,
     study_to_json,
 )
-from .model import FitConfig, irls_fit
+from .model import FitConfig, _refuse_singular
 from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
     _DESIGN_SCALINGS,
@@ -253,25 +252,31 @@ def _read_dataset(args):
 
 
 def _fit_pipeline(args, dataset):
-    fit = irls_fit(dataset, FitConfig(tolerance=args.tol))
+    """Row 0 of ``_estimate_block`` on the dataset, or the first error it met."""
+    fit, decomp, _, rule, estimates = _estimate_block(
+        dataset.X, dataset.y[None], FitConfig(tolerance=args.tol), args.ptv,
+        r=args.r, k=args.k, d=args.d,
+    )
+    _refuse_singular(fit, 0)
+    fit = fit.select(0)
     if not fit.converged:
         raise SingularSystemError(
             f"IRLS did not converge in {fit.iterations} iterations "
             f"(final step {fit.final_step_norm:.3e})"
         )
-    decomp = spectral_decompose(dataset.X, fit.v_diag)
-    r, k, d, clamped = select_parameters(
-        decomp, fit.beta, args.ptv, r=args.r, k=args.k, d=args.d
-    )
+    _refuse_indefinite(decomp, 0)
+    r, k, d, clamped = (value[0] for value in rule)
     params = ShrinkageParams(float(k), float(d))
-    return fit, decomp, int(r), params, bool(clamped)
+    return fit, decomp.select(0), int(r), params, bool(clamped), estimates
 
 
 def _run_fit(args) -> int:
     dataset = _read_dataset(args)
-    fit, decomp, r, params, clamped = _fit_pipeline(args, dataset)
-    estimates = batch_estimates(fit, decomp, r, params.k, params.d)
-    coefficients = {kind.value: estimates[kind].tolist() for kind in args.estimators}
+    fit, decomp, r, params, clamped, estimates = _fit_pipeline(args, dataset)
+    for kind in args.estimators:
+        if not np.all(np.isfinite(estimates[kind][0])):
+            raise DecompositionError(f"the {kind.display_name} estimate is not finite")
+    coefficients = {kind.value: estimates[kind][0].tolist() for kind in args.estimators}
     lambdas = decomp.lambdas
     report = {
         "coefficients": coefficients,
@@ -284,9 +289,9 @@ def _run_fit(args) -> int:
         "d_source": "user" if args.d is not None else "rule",
         "eigenvalues": [float(v) for v in lambdas],
         "condition_number": float(lambdas[0] / lambdas[-1]),
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "final_step_norm": fit.final_step_norm,
+        "iterations": int(fit.iterations),
+        "converged": bool(fit.converged),
+        "final_step_norm": float(fit.final_step_norm),
         "version": __version__,
     }
     _emit(report, args, _fit_report_rows)
@@ -378,7 +383,7 @@ def _run_compare(args) -> int:
         raise DatasetFormatError(
             f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
         )
-    fit, decomp, r, params, _ = _fit_pipeline(args, dataset)
+    fit, decomp, r, params, _, _ = _fit_pipeline(args, dataset)
     split = decomp.split(r)
     beta, beta_source = (fit.beta, "plug_in_mle") if beta is None else (beta, "true_beta")
 

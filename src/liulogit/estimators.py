@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecompositionError
-from .model import BatchFit, LogisticFit, _design_map
+from .model import BatchFit, LogisticFit, _as_design, _design_map, irls_fit_batch
 
 __all__ = [
     "SpectralDecomposition",
@@ -234,16 +234,21 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
     The one-row case of ``spectral_decompose_batch``.
     """
     row = spectral_decompose_batch(X, np.asarray(v_diag, dtype=float)[None])
-    largest, smallest = float(row.lambdas[0, 0]), float(row.lambdas[0, -1])
+    _refuse_indefinite(row, 0)
+    return row.select(0)
+
+
+def _refuse_indefinite(decomp: SpectralDecomposition, row: int):
+    """Raise ``DecompositionError`` unless the row's X'VX is positive definite."""
+    largest, smallest = float(decomp.lambdas[row, 0]), float(decomp.lambdas[row, -1])
     if np.isnan(smallest):
         raise DecompositionError("X'VX contains non-finite entries")
-    if not row.positive_definite[0]:
+    if not decomp.positive_definite[row]:
         raise DecompositionError(
             f"X'VX numerically singular (smallest eigenvalue {smallest:.3e}, "
             f"largest {largest:.3e}): collinear or badly scaled columns",
             smallest_eigenvalue=smallest,
         )
-    return row.select(0)
 
 
 def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
@@ -275,6 +280,13 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
 def _check_ptv(ptv_threshold: float):
     if not (0.0 < ptv_threshold <= 1.0):
         raise ValueError("ptv_threshold must lie in (0, 1]")
+
+
+def _check_given(p: int, ptv_threshold: float, r=None):
+    # the threshold is checked even where a given r leaves it unread
+    _check_ptv(ptv_threshold)
+    if r is not None and not 1 <= r <= p:
+        raise ValueError(f"r must lie in [1, {p}]")
 
 
 def select_components(lambdas, ptv_threshold: float):
@@ -416,14 +428,11 @@ def select_parameters(
     k_clamped) broadcast to the batch shape of ``decomp``; a given k is
     never clamped.
     """
-    # the threshold is checked even where a given r leaves it unread
-    _check_ptv(ptv_threshold)
     lam = decomp.lambdas
     p = lam.shape[-1]
+    _check_given(p, ptv_threshold, r)
     if r is None:
         r = np.clip(select_components(lam, ptv_threshold), min_components, p)
-    elif not 1 <= r <= p:
-        raise ValueError(f"r must lie in [1, {p}]")
     if d is None:
         d = choose_d(lam)
     clamped = False
@@ -438,12 +447,40 @@ def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> di
 
     Row i is ``point_estimate`` for that row's fit and eigendecomposition,
     component count ``r[i]`` and parameters ``k[i]``, ``d[i]``; ``decomp``
-    already carries every X'VX, so no design matrix is needed.  ``liulogit
-    fit`` passes one ``LogisticFit``, its ``decomp`` and scalar r, k and d.
+    already carries every X'VX, so no design matrix is needed.  It is the
+    estimate step of ``_estimate_block``.  An estimate that overflows is
+    left inf or NaN, with no RuntimeWarning, for the caller to report.
     """
-    return {
-        kind: _apply_filter(
-            decomp.T, filter_factors(kind, decomp.lambdas, r, k, d), fit.beta
-        )
-        for kind in EstimatorKind
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            kind: _apply_filter(
+                decomp.T, filter_factors(kind, decomp.lambdas, r, k, d), fit.beta
+            )
+            for kind in EstimatorKind
+        }
+
+
+def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components=1):
+    """The package's one estimation step, for the 0/1 responses Y (b, n) on X.
+
+    IRLS and the decomposition share X's one ``_GramMap`` (X may be a
+    design's map; a plain X gets one).  Rows that converged with a
+    ``positive_definite`` X'VX are kept, and the r, k and d rules (at
+    ``ptv``, ``min_components`` and any given r, k, d) and the estimators
+    run on those, possibly none.  Returns every row's fit and
+    decomposition, the kept mask, and the kept rows' (r, k, d, k_clamped)
+    and estimates.  Each row gets the bits it would get alone, so
+    ``simulate_cell`` passes a block and ``fit`` and ``compare`` ``y[None]``.
+    """
+    gram = _design_map(X, _as_design)
+    # a given ptv, r, k or d is refused before IRLS runs, in this order
+    _check_given(gram.X.shape[1], ptv, r)
+    ShrinkageParams(K_MIN if k is None else k, 0.0 if d is None else d)
+    fit = irls_fit_batch(gram, Y, config)
+    decomp = spectral_decompose_batch(gram, fit.v_diag)
+    kept = fit.converged & decomp.positive_definite
+    fit_kept, decomp_kept = fit.select(kept), decomp.select(kept)
+    rule = select_parameters(
+        decomp_kept, fit_kept.beta, ptv, r=r, k=k, d=d, min_components=min_components
+    )
+    return fit, decomp, kept, rule, batch_estimates(fit_kept, decomp_kept, *rule[:3])

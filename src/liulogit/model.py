@@ -214,18 +214,13 @@ def irls_fit(data: Dataset, config: FitConfig = FitConfig()) -> LogisticFit:
         complete separation).
     """
     batch = irls_fit_batch(data.X, data.y[None], config)
-    iterations = int(batch.iterations[0])
-    if batch.singular[0]:
-        raise SingularSystemError(
-            f"X'VX singular or IRLS step non-finite at iteration {iterations}",
-            iterations,
-        )
+    _refuse_singular(batch, 0)
     trace = batch.loglik_trace[0]
     return LogisticFit(
         beta=batch.beta[0],
         v_diag=batch.v_diag[0],
         z=working_response(data.X, batch.beta[0], data.y, config.probability_clip),
-        iterations=iterations,
+        iterations=int(batch.iterations[0]),
         converged=bool(batch.converged[0]),
         final_step_norm=float(batch.final_step_norm[0]),
         loglik_trace=tuple(trace[~np.isnan(trace)].tolist()),
@@ -259,8 +254,18 @@ class BatchFit:
     loglik_trace: np.ndarray
 
     def select(self, rows) -> "BatchFit":
-        """The fits of the given rows (index array or boolean mask)."""
+        """The fits of the given rows (index, index array or boolean mask)."""
         return BatchFit(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _refuse_singular(batch: BatchFit, row: int):
+    """Raise ``SingularSystemError`` if the row met a singular Newton system."""
+    if batch.singular[row]:
+        iterations = int(batch.iterations[row])
+        raise SingularSystemError(
+            f"X'VX singular or IRLS step non-finite at iteration {iterations}",
+            iterations,
+        )
 
 
 # byte budget for the packed column products K of X's rows: a design whose K

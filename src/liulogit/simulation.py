@@ -25,11 +25,10 @@ from .errors import CellFailedError
 from .estimators import (
     EstimatorKind,
     _check_ptv,
-    batch_estimates,
-    select_parameters,
+    _estimate_block,
     spectral_decompose_batch,
 )
-from .model import _design_map, _GramMap, irls_fit_batch, logistic
+from .model import FitConfig, _design_map, _GramMap, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -234,23 +233,14 @@ def _cell_failed(config: SimulationConfig, reason: str) -> CellFailedError:
 def simulate_cell(config: SimulationConfig) -> CellResult:
     """Run one cell and return simulated MSE per estimator.
 
-    Each replication redraws the response, fits by IRLS, selects r, k and
-    d with ``select_parameters`` (r pinned to ``config.components`` when
-    set, else the total-variability rule floored at
-    ``config.min_components``) from that replication's eigenvalues and ML
-    eigencoordinates, and accumulates squared error ||estimate - beta||^2.
-    Replications whose fit diverges or whose weighted cross-product is
-    numerically indefinite are dropped from the MSE denominator and counted.
-
-    Replications run in blocks of ``REPLICATION_BLOCK`` that share the
-    design: one ``rng.random((block, n))`` draw (the same stream as that
-    many successive ``generate_response`` calls), one ``irls_fit_batch``,
-    one ``spectral_decompose_batch`` and the rules and estimators over the
-    block's rows.  Both take the cell's one ``_GramMap`` of X, as beta's
-    ``newhouse_oman_beta`` does.  No row's IRLS arithmetic depends on the
-    other rows, so a replication's fit is what ``irls_fit``, the one-row
-    case, gives for it, and cell results depend on neither the process nor
-    the worker count.
+    Replications run in blocks of ``REPLICATION_BLOCK``: one
+    ``rng.random((block, n))`` draw (the same stream as that many
+    successive ``generate_response`` calls) and one ``_estimate_block``
+    over the cell's ``_GramMap``, which beta is read through too, with r
+    pinned to ``config.components`` when set, else the total-variability
+    rule floored at ``config.min_components``.  Each kept replication adds
+    ||estimate - beta||^2; the others are dropped from the MSE denominator
+    and counted.  Results depend on neither the process nor the workers.
 
     Raises
     ------
@@ -274,18 +264,11 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     for start in range(0, config.replications, REPLICATION_BLOCK):
         size = min(REPLICATION_BLOCK, config.replications - start)
         Y = (rng.random((size, config.n)) < pi).astype(float)
-        fit = irls_fit_batch(gram, Y)
-        decomp = spectral_decompose_batch(gram, fit.v_diag)
-        kept = fit.converged & decomp.positive_definite
-        divergent += size - int(np.count_nonzero(kept))
-        fit = fit.select(kept)
-        decomp = decomp.select(kept)
-        r, k, d, _ = select_parameters(
-            decomp, fit.beta, config.ptv_threshold,
+        _, _, kept, (r, k, d, _), estimates = _estimate_block(
+            gram, Y, FitConfig(), config.ptv_threshold,
             r=config.components, min_components=config.min_components,
         )
-
-        estimates = batch_estimates(fit, decomp, r, k, d)
+        divergent += size - int(np.count_nonzero(kept))
         for kind, estimate in estimates.items():
             sums[kind] += float(np.sum((estimate - beta) ** 2))
         r_total += float(np.sum(r))

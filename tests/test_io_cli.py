@@ -38,7 +38,10 @@ import liulogit.msem
 from liulogit import cli, model
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
-from _util import correlated_design, duplicated_column_data, gram_chunk_budget, src_env
+from _util import (
+    correlated_design, count_gram_maps, duplicated_column_data, gram_chunk_budget,
+    src_env,
+)
 
 
 class TestParseDataset:
@@ -302,6 +305,18 @@ def toy_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def tiny_scale_csv(tmp_path):
+    # columns scaled by 0.01: X'VX's eigenvalues are near 0.008
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((300, 3))
+    eta = X @ np.array([0.8, -0.5, 0.3])
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    path = tmp_path / "tiny.csv"
+    write_dataset(Dataset(X=0.01 * X, y=y), path, header=False)
+    return path
+
+
 class TestFitCommand:
     def test_intercept_only_zero_coefficient(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -477,15 +492,69 @@ class TestFitCommand:
              "numerical failure: IRLS did not converge in 100 iterations"),
         ],
     )
+    @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_numerical_failure_exit_code(self, toy_csv, tmp_path, capsys,
-                                         make, message):
+                                         make, message, command):
         data = parse_dataset(toy_csv)
         X, y = make(data.X, data.y)
         path = tmp_path / "failing.csv"
         write_dataset(Dataset(X=X, y=y), path, header=False)
-        assert main(["fit", "--input", str(path)]) == EXIT_NUMERIC
+        assert main([command, "--input", str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_numerically_singular_line(self, tmp_path, capsys, command):
+        # IRLS converges here, on rounding, and the decomposition of its
+        # final X'VX refuses it, naming both extreme eigenvalues
+        path = tmp_path / "duplicated.csv"
+        write_dataset(duplicated_column_data(29), path, header=False)
+        assert main([command, "--input", str(path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numerical failure: X'VX numerically singular (smallest eigenvalue "
+            "0.000e+00, largest 1.537e+02): collinear or badly scaled columns\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("fit", ["--ptv", "0"], "ptv_threshold must lie in (0, 1]"),
+            ("fit", ["--r", "0"], "r must lie in [1, 3]"),
+            ("fit", ["--k", "0"], "k must be positive"),
+            ("fit", ["--d", "nan"], "d must be finite"),
+            ("compare", ["--r", "9"], "r must lie in [1, 3]"),
+            # the order: ptv, r, k, d
+            ("compare", ["--d", "inf", "--k", "-1", "--r", "0", "--ptv", "2"],
+             "ptv_threshold must lie in (0, 1]"),
+            ("fit", ["--d", "inf", "--k", "-1", "--r", "0"], "r must lie in [1, 3]"),
+            ("fit", ["--d", "inf", "--k", "-1"], "k must be positive"),
+        ],
+    )
+    def test_given_parameters_are_checked_before_irls(self, toy_csv, tmp_path, capsys,
+                                                     command, flags, message):
+        # X'VX is singular at IRLS's first step on this file, so a usage
+        # error here was raised before IRLS ran
+        data = parse_dataset(toy_csv)
+        path = tmp_path / "duplicated.csv"
+        write_dataset(Dataset(X=data.X[:, [0, 1, 1]], y=data.y), path, header=False)
+        assert main([command, "--input", str(path), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["packed", "dense"])
+    def test_one_gram_map_and_no_working_response(self, toy_csv, capsys, monkeypatch,
+                                                  command, dense):
+        # IRLS and the decomposition share the command's one map of X, and
+        # no report reads a working response, so none is formed
+        if dense:
+            monkeypatch.setattr(model, "GRAM_CHUNK_BYTES", gram_chunk_budget(80, 3, 4))
+        assert (model._gram_chunk_rows(3) < 80) == dense
+        built = count_gram_maps(monkeypatch)
+        formed = []
+        monkeypatch.setattr(model, "working_response",
+                            lambda *args, **kwargs: formed.append(args))
+        assert main([command, "--input", str(toy_csv)]) == EXIT_OK
+        assert built == [(80, 3)] and formed == []
 
     @pytest.mark.parametrize("seed", range(24))
     def test_duplicated_column_is_one_numerical_failure(self, seed, tmp_path, capsys):
@@ -521,6 +590,36 @@ class TestFitCommand:
         assert err == ""
         report = json.loads(out)
         assert report["k_clamped"] and report["d"] == float(d)
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--d", "1e306"], "LTL"),
+            (["--d", "1e308", "--format", "tsv"], "LTL"),
+            (["--d", "1e306", "--estimators", "pcltl,ml,ltl"], "PCLTL"),
+        ],
+    )
+    def test_overflowing_estimate_is_one_numerical_failure(self, tiny_scale_csv,
+                                                           capsys, flags, name):
+        # X'VX's eigenvalues are near 0.008, so this d overflows the LTL and
+        # PCLTL estimates: the first requested one is named, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--input", str(tiny_scale_csv), *flags])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr() == (
+            "", f"numerical failure: the {name} estimate is not finite\n"
+        )
+
+    def test_only_requested_estimates_are_checked(self, tiny_scale_csv, capsys):
+        # ML and PCLR do not read d, so their estimates stay finite
+        argv = ["fit", "--input", str(tiny_scale_csv), "--d", "1e306",
+                "--estimators", "ml,pclr", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and list(json.loads(out)["coefficients"]) == ["ml", "pclr"]
 
     def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
         assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
@@ -1042,19 +1141,24 @@ class TestCompareCommand:
         assert row["theorem"] == "T3_1" and row["agreement"] is True
         assert np.isfinite(row["condition_value"])
 
-    @pytest.mark.parametrize("source", ["d", "beta_file"])
-    def test_overflowing_msem_is_one_numerical_failure(self, toy_csv, tmp_path,
-                                                       capsys, source):
-        # d = 1e200 or beta = (1e200, 0, 0) overflows PCLTL's error matrix
+    @pytest.mark.parametrize("source", ["d", "beta_file", "estimates"])
+    def test_overflowing_msem_is_one_numerical_failure(self, toy_csv, tiny_scale_csv,
+                                                       tmp_path, capsys, source):
+        # d = 1e200 or beta = (1e200, 0, 0) overflows PCLTL's error matrix; on
+        # the 0.01-scaled file d = 1e306 also overflows the LTL and PCLTL
+        # estimates, which compare forms without reading them
+        data = toy_csv
         if source == "d":
             flags = ["--d", "1e200"]
+        elif source == "estimates":
+            data, flags = tiny_scale_csv, ["--d", "1e306"]
         else:
             path = tmp_path / "beta.txt"
             path.write_text("1e200 0 0\n")
             flags = ["--beta-file", str(path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["compare", "--input", str(toy_csv), *flags])
+            code = main(["compare", "--input", str(data), *flags])
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             "numerical failure: the MSEM of PCLTL is not finite\n"

@@ -38,7 +38,7 @@ from liulogit import (
     spectral_decompose,
     study_configs,
 )
-from liulogit import model, simulation
+from liulogit import estimators, model, simulation
 from liulogit.simulation import REPLICATION_BLOCK, _build_design
 
 from _oracles import dense_decompose, scalar_irls
@@ -138,11 +138,12 @@ def reference_cell(config):
 def cell_with_estimates(config):
     """``simulate_cell`` and, per estimator, its kept replications' estimates.
 
-    Records what the cell's ``batch_estimates`` call returns for each
-    block and stacks the blocks in replication order.
+    Records what the cell's ``batch_estimates`` call, made by its
+    estimation step, returns for each block and stacks the blocks in
+    replication order.
     """
     blocks = []
-    batch_estimates = simulation.batch_estimates
+    batch_estimates = estimators.batch_estimates
 
     def recording(*args):
         estimates = batch_estimates(*args)
@@ -150,7 +151,7 @@ def cell_with_estimates(config):
         return estimates
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "batch_estimates", recording)
+        patch.setattr(estimators, "batch_estimates", recording)
         result = simulate_cell(config)
     assert len(blocks) == -(-config.replications // simulation.REPLICATION_BLOCK)
     return result, {
@@ -300,7 +301,7 @@ class TestSimulateCell:
             rows = np.tile(scale * beta, (fit.beta.shape[0], 1))
             return {kind: rows for kind in EstimatorKind}
 
-        monkeypatch.setattr(simulation, "batch_estimates", fixed)
+        monkeypatch.setattr(estimators, "batch_estimates", fixed)
         result = simulate_cell(PARTIAL_RAW)
         assert result.divergent_replications == 13
         assert all(result.mse[kind] == 0.0 for kind in EstimatorKind)
@@ -411,14 +412,14 @@ class TestBatchedCellOracle:
         # at two replications a block, two blocks of each fixture diverge
         # whole: the rules and estimators run on zero rows and add nothing
         kept_rows = []
-        batch_estimates = simulation.batch_estimates
+        batch_estimates = estimators.batch_estimates
 
         def counting(fit, *args):
             kept_rows.append(fit.beta.shape[0])
             return batch_estimates(fit, *args)
 
         monkeypatch.setattr(simulation, "REPLICATION_BLOCK", 2)
-        monkeypatch.setattr(simulation, "batch_estimates", counting)
+        monkeypatch.setattr(estimators, "batch_estimates", counting)
         assert_matches_reference(config)
         assert kept_rows.count(0) == 2
 
