@@ -26,18 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CellFailedError,
-    DatasetFormatError,
-    DecompositionError,
-    SingularSystemError,
-)
+from .errors import DatasetFormatError, DecompositionError, LiulogitError
 from .estimators import (
     EstimatorKind,
     EstimatorSpec,
     ShrinkageParams,
     _estimate_block,
-    _refuse_indefinite,
+    _refuse_row,
 )
 from .io import (
     build_study_tables,
@@ -47,7 +42,7 @@ from .io import (
     render_table_text,
     study_to_json,
 )
-from .model import FitConfig, _refuse_singular
+from .model import FitConfig
 from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
     _DESIGN_SCALINGS,
@@ -252,22 +247,15 @@ def _read_dataset(args):
 
 
 def _fit_pipeline(args, dataset):
-    """Row 0 of ``_estimate_block`` on the dataset, or the first error it met."""
+    """Row 0 of ``_estimate_block`` on the dataset, or ``_refuse_row``'s error for it."""
     fit, decomp, _, rule, estimates = _estimate_block(
         dataset.X, dataset.y[None], FitConfig(tolerance=args.tol), args.ptv,
         r=args.r, k=args.k, d=args.d,
     )
-    _refuse_singular(fit, 0)
-    fit = fit.select(0)
-    if not fit.converged:
-        raise SingularSystemError(
-            f"IRLS did not converge in {fit.iterations} iterations "
-            f"(final step {fit.final_step_norm:.3e})"
-        )
-    _refuse_indefinite(decomp, 0)
+    _refuse_row(fit, decomp, 0)
     r, k, d, clamped = (value[0] for value in rule)
     params = ShrinkageParams(float(k), float(d))
-    return fit, decomp.select(0), int(r), params, bool(clamped), estimates
+    return fit.select(0), decomp.select(0), int(r), params, bool(clamped), estimates
 
 
 def _run_fit(args) -> int:
@@ -465,7 +453,8 @@ def main(argv=None) -> int:
     except DatasetFormatError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
-    except (SingularSystemError, DecompositionError, CellFailedError) as exc:
+    except LiulogitError as exc:
+        # every other package error is numerical: a refused row, X'VX or cell
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
     except ValueError as exc:

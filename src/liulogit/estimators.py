@@ -31,8 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError
-from .model import BatchFit, LogisticFit, _as_design, _design_map, irls_fit_batch
+from .errors import DecompositionError, SingularSystemError
+from .model import (
+    BatchFit,
+    LogisticFit,
+    _as_design,
+    _design_map,
+    _refuse_singular,
+    irls_fit_batch,
+)
 
 __all__ = [
     "SpectralDecomposition",
@@ -329,10 +336,10 @@ def filter_factors(kind: EstimatorKind, lambdas, r=None, k=None, d=None) -> np.n
     return g
 
 
-def _apply_filter(T, g, b) -> np.ndarray:
-    """T diag(g) T' b over any leading batch axes."""
-    coords = g * (T.swapaxes(-1, -2) @ b[..., None])[..., 0]
-    return (T @ coords[..., None])[..., 0]
+def _apply_filters(T, factors, b) -> list:
+    """T diag(g) T' b for every g of ``factors``, forming T'b once (any batch axes)."""
+    alpha = (T.swapaxes(-1, -2) @ b[..., None])[..., 0]
+    return [(T @ (g * alpha)[..., None])[..., 0] for g in factors]
 
 
 def point_estimate(
@@ -351,7 +358,7 @@ def point_estimate(
         raise ValueError("estimator requires a converged fit")
     if decomp is None:
         decomp = spectral_decompose(X, fit.v_diag)
-    return _apply_filter(decomp.T, spec.factors(decomp.lambdas), fit.beta)
+    return _apply_filters(decomp.T, [spec.factors(decomp.lambdas)], fit.beta)[0]
 
 
 def mle_estimate(fit: LogisticFit, X) -> np.ndarray:
@@ -452,25 +459,21 @@ def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> di
     left inf or NaN, with no RuntimeWarning, for the caller to report.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return {
-            kind: _apply_filter(
-                decomp.T, filter_factors(kind, decomp.lambdas, r, k, d), fit.beta
-            )
-            for kind in EstimatorKind
-        }
+        factors = [filter_factors(kind, decomp.lambdas, r, k, d) for kind in EstimatorKind]
+        return dict(zip(EstimatorKind, _apply_filters(decomp.T, factors, fit.beta)))
 
 
 def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components=1):
     """The package's one estimation step, for the 0/1 responses Y (b, n) on X.
 
-    IRLS and the decomposition share X's one ``_GramMap`` (X may be a
-    design's map; a plain X gets one).  Rows that converged with a
-    ``positive_definite`` X'VX are kept, and the r, k and d rules (at
-    ``ptv``, ``min_components`` and any given r, k, d) and the estimators
-    run on those, possibly none.  Returns every row's fit and
-    decomposition, the kept mask, and the kept rows' (r, k, d, k_clamped)
-    and estimates.  Each row gets the bits it would get alone, so
-    ``simulate_cell`` passes a block and ``fit`` and ``compare`` ``y[None]``.
+    IRLS and the decomposition share X's one ``_GramMap`` (X may be a design's
+    map; a plain X gets one).  Rows that converged with a ``positive_definite``
+    X'VX are kept (``_refuse_row`` raises why another was not), and the r, k
+    and d rules (at ``ptv``, ``min_components`` and any given r, k, d) and the
+    estimators run on those, possibly none.  Returns every row's fit and
+    decomposition, the kept mask, and the kept rows' (r, k, d, k_clamped) and
+    estimates.  Each row gets the bits it would get alone, so ``simulate_cell``
+    passes a block and ``fit`` and ``compare`` ``y[None]``.
     """
     gram = _design_map(X, _as_design)
     # a given ptv, r, k or d is refused before IRLS runs, in this order
@@ -484,3 +487,17 @@ def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components
         decomp_kept, fit_kept.beta, ptv, r=r, k=k, d=d, min_components=min_components
     )
     return fit, decomp, kept, rule, batch_estimates(fit_kept, decomp_kept, *rule[:3])
+
+
+def _refuse_row(fit: BatchFit, decomp: SpectralDecomposition, row: int):
+    """Raise the error that dropped ``row`` from ``_estimate_block``'s kept rows.
+
+    In the order checked: a singular Newton system, no convergence, an unusable X'VX.
+    """
+    _refuse_singular(fit, row)
+    if not fit.converged[row]:
+        raise SingularSystemError(
+            f"IRLS did not converge in {int(fit.iterations[row])} iterations "
+            f"(final step {float(fit.final_step_norm[row]):.3e})"
+        )
+    _refuse_indefinite(decomp, row)

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from liulogit import (
     DecompositionError,
     EstimatorKind,
     EstimatorSpec,
+    FitConfig,
     LogisticFit,
     ShrinkageParams,
     SingularSystemError,
@@ -710,3 +712,126 @@ class TestSelectParameters:
         _, k, d, clamped = select_parameters(decomp, fit.beta, 0.75, k=0.7, d=big_d)
         assert k.tolist() == [0.7] * 6 and d.tolist() == [big_d] * 6
         assert not clamped.any()
+
+
+def refusal_design():
+    """A 120 x 3 logistic design, its response and its coefficients."""
+    data, beta = random_dataset(120, 3, np.random.default_rng(5))
+    return data.X, data.y, beta
+
+
+def step_fit(X, Y):
+    """The fits and decompositions of the estimation step on X."""
+    fit, decomp, _, _, _ = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+    return fit, decomp
+
+
+def refusal(fit, decomp, row):
+    """The (type, message) ``_refuse_row`` raises for the row, or None."""
+    try:
+        estimators._refuse_row(fit, decomp, row)
+    except (SingularSystemError, DecompositionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def infinite_weight(X, y):
+    # a synthetic stack: a converged fit whose X'VX meets an infinite weight
+    fit = irls_fit_batch(X, y[None])
+    v = fit.v_diag.copy()
+    v[0, 0] = np.inf
+    return fit, spectral_decompose_batch(X, v)
+
+
+class TestRefuseRow:
+    """Why the estimation step dropped a row: the error ``fit`` and
+    ``compare`` print for it, one line each (see ``test_io_cli``)."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            # a zero column makes X'VX exactly singular at the first step
+            pytest.param(
+                lambda X, y: step_fit(X * [1.0, 1.0, 0.0], y[None]),
+                SingularSystemError,
+                "X'VX singular or IRLS step non-finite at iteration 1",
+                id="singular-system",
+            ),
+            # y = 1[x1 > 0] is completely separated: the ML estimate diverges
+            pytest.param(
+                lambda X, y: step_fit(X, (X[:, [0]] > 0).T.astype(float)),
+                SingularSystemError,
+                "IRLS did not converge in 100 iterations (final step 1.208e+00)",
+                id="not-converged",
+            ),
+            pytest.param(
+                infinite_weight,
+                DecompositionError,
+                "X'VX contains non-finite entries",
+                id="non-finite",
+            ),
+            # a column scaled by 1e8: IRLS converges and the final X'VX is
+            # conditioned beyond 1/(10 p eps).  A repeated column (as in
+            # test_io_cli) meets a singular Newton system instead on some
+            # BLAS kernels.  The smallest eigenvalue is rounding, so the
+            # expected line is formatted from this run's eigenvalues
+            pytest.param(
+                lambda X, y: step_fit(X * [1.0, 1.0, 1e8], y[None]),
+                DecompositionError,
+                "X'VX numerically singular (smallest eigenvalue {smallest:.3e}, "
+                "largest {largest:.3e}): collinear or badly scaled columns",
+                id="numerically-singular",
+            ),
+        ],
+    )
+    def test_each_reason(self, make, error, message):
+        X, y, _ = refusal_design()
+        fit, decomp = make(X, y)
+        smallest, largest = decomp.lambdas[0, -1], decomp.lambdas[0, 0]
+        message = message.format(smallest=smallest, largest=largest)
+        assert refusal(fit, decomp, 0) == (error, message)
+
+    def test_first_reason_wins(self):
+        # a synthetic stack whose rows fail several reasons at once: row 0
+        # all of them, row 1 all but the Newton system, row 2 only the
+        # non-finite X'VX, row 3 only a rank-two X'VX, and row 4 none
+        X, y, _ = refusal_design()
+        fit = irls_fit_batch(X, np.tile(y, (5, 1)))
+        assert fit.converged.all()
+        fit = replace(
+            fit,
+            singular=np.array([True, False, False, False, False]),
+            converged=np.array([False, False, True, True, True]),
+            iterations=np.array([2, 100, 5, 5, 5]),
+            final_step_norm=np.array([np.inf, 1.5, 0.0, 0.0, 0.0]),
+        )
+        v = fit.v_diag.copy()
+        v[:3, 0] = np.inf
+        v[3, 2:] = 0.0
+        decomp = spectral_decompose_batch(X, v)
+        assert [refusal(fit, decomp, row) for row in (0, 1, 2, 4)] == [
+            (SingularSystemError, "X'VX singular or IRLS step non-finite at iteration 2"),
+            (SingularSystemError,
+             "IRLS did not converge in 100 iterations (final step 1.500e+00)"),
+            (DecompositionError, "X'VX contains non-finite entries"),
+            None,
+        ]
+        error, message = refusal(fit, decomp, 3)
+        assert error is DecompositionError
+        assert message.startswith("X'VX numerically singular (smallest eigenvalue ")
+
+    def test_kept_exactly_when_nothing_is_raised(self):
+        # one design, its ordinary responses interleaved with four that a
+        # plane through the origin separates completely (X has no intercept)
+        X, _, beta = refusal_design()
+        rng = np.random.default_rng(6)
+        pi = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        ordinary = (rng.random((5, len(X))) < pi).astype(float)
+        separated = np.array(
+            [X[:, 0] > 0, X[:, 1] > 0, X[:, 2] < 0, X[:, 0] > X[:, 1]], dtype=float
+        )
+        Y = np.insert(ordinary, [0, 1, 3, 5], separated, axis=0)
+        fit, decomp, kept, _, _ = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+        assert 0 < kept.sum() < len(Y)
+        refused = [refusal(fit, decomp, row) is not None for row in range(len(Y))]
+        assert kept.tolist() == [not row for row in refused]
