@@ -12,7 +12,9 @@ are parsed, and empty tokens are skipped. The environment variable
 ``LIULOGIT_SEED`` supplies the default seed, and ``--config FILE`` (or
 ``--config=FILE``) reads ``key = value`` lines mirroring the long flags
 (explicit flags win); a switch such as ``has_header`` takes true, yes,
-false or no.
+false or no. Importing this module sets ``OPENBLAS_NUM_THREADS=1``
+before numpy loads, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
+is set or numpy is already loaded: one BLAS thread per process.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ import os
 import sys
 import warnings
 from pathlib import Path
+
+# The paper's products are small. A BLAS thread per core only spins idle
+# while the command starts, competes with the other --workers processes and
+# makes a dense X'VX's bits depend on the core count. OpenBLAS reads the
+# variable when numpy loads, and the --workers processes inherit it.
+if "numpy" not in sys.modules and not (
+    "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -16,7 +16,6 @@ convention, and raw unscaled columns remain available via
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -371,6 +370,9 @@ def run_cells(
     workers = min(workers or 1, len(configs))
     if workers <= 1:
         return [_cell_outcome(config) for config in configs]
+    # imported here, so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_cell_outcome, configs))
 

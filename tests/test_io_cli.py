@@ -35,12 +35,12 @@ from liulogit import (
 )
 import liulogit.io
 import liulogit.msem
-from liulogit import cli, model
+from liulogit import cli, estimators, model
 from liulogit.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 from _util import (
     correlated_design, count_gram_maps, duplicated_column_data, gram_chunk_budget,
-    src_env,
+    random_dataset, src_env,
 )
 
 
@@ -505,14 +505,22 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_numerically_singular_line(self, tmp_path, capsys, command):
-        # IRLS converges here, on rounding, and the decomposition of its
-        # final X'VX refuses it, naming both extreme eigenvalues
-        path = tmp_path / "duplicated.csv"
-        write_dataset(duplicated_column_data(29), path, header=False)
+        # a column scaled by 1e8: IRLS converges on any BLAS kernel and the
+        # decomposition of its final X'VX refuses it, naming both extreme
+        # eigenvalues.  The smallest is rounding, so the expected line is
+        # formatted from the estimation step's own eigenvalues on the file
+        data, _ = random_dataset(120, 3, np.random.default_rng(5))
+        path = tmp_path / "scaled.csv"
+        write_dataset(Dataset(X=data.X * [1.0, 1.0, 1e8], y=data.y), path, header=False)
+        parsed = parse_dataset(path)
+        _, decomp, *_ = estimators._estimate_block(
+            parsed.X, parsed.y[None], FitConfig(), SimulationConfig.ptv_threshold
+        )
+        smallest, largest = decomp.lambdas[0, -1], decomp.lambdas[0, 0]
         assert main([command, "--input", str(path)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             "numerical failure: X'VX numerically singular (smallest eigenvalue "
-            "0.000e+00, largest 1.537e+02): collinear or badly scaled columns\n"
+            f"{smallest:.3e}, largest {largest:.3e}): collinear or badly scaled columns\n"
         )
 
     @pytest.mark.parametrize(
@@ -1420,3 +1428,76 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"usage error: unrecognized arguments: --conf {cfg}\n"
         )
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(args, **variables):
+    """Stdout of a fresh interpreter on this checkout's ``src``, with the BLAS
+    thread variables unset except those in ``variables``."""
+    env = src_env(**variables)
+    for name in set(BLAS_THREAD_VARIABLES) - set(variables):
+        env.pop(name, None)
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout
+
+
+class TestBlasThreads:
+    """The command line chooses one BLAS thread before numpy loads, unless
+    the user chose a count, so its output bits do not depend on the core
+    count; ``import liulogit`` loads nothing and chooses nothing."""
+
+    @pytest.fixture(scope="class")
+    def dense_csv(self, tmp_path_factory):
+        data, _ = random_dataset(50_000, 10, np.random.default_rng(11), rho=0.95)
+        path = tmp_path_factory.mktemp("dense") / "dense.csv"
+        write_dataset(data, path, header=False)
+        return path
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_output_does_not_depend_on_the_thread_count(self, dense_csv, command):
+        # this X'VX takes the dense path, whose product OpenBLAS splits
+        # across its threads when it has more than one
+        assert model._gram_chunk_rows(10) < 50_000
+        argv = ["-m", "liulogit.cli", command, "--input", str(dense_csv)]
+        assert run_python(argv) == run_python(argv, OPENBLAS_NUM_THREADS="1")
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        # the first public name loads every library module, numpy with them
+        code = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import liulogit\n"
+            "print('numpy' in sys.modules, os.environ == before)\n"
+            "liulogit.irls_fit\n"
+            "print('numpy' in sys.modules, os.environ == before)"
+        )
+        assert run_python(["-c", code]).split() == ["False", "True", "True", "True"]
+
+    @pytest.mark.parametrize(
+        "first, variables, expected",
+        [
+            ("", {}, ["1", "None"]),
+            ("import numpy\n", {}, ["None", "None"]),
+            ("", {"OPENBLAS_NUM_THREADS": "3"}, ["3", "None"]),
+            ("", {"OMP_NUM_THREADS": "2"}, ["None", "2"]),
+        ],
+        ids=["unset", "numpy-loaded", "openblas-chosen", "omp-chosen"],
+    )
+    def test_cli_chooses_one_thread_only_when_nobody_chose(self, first, variables,
+                                                          expected):
+        code = (
+            f"{first}import os, liulogit.cli\n"
+            f"print(*(os.environ.get(name) for name in {BLAS_THREAD_VARIABLES}))"
+        )
+        assert run_python(["-c", code], **variables).split() == expected
+
+    def test_cli_import_loads_no_process_pool(self):
+        code = (
+            "import sys, liulogit.cli\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])"
+        )
+        assert run_python(["-c", code]).strip() == "[]"

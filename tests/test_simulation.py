@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -576,7 +577,7 @@ class TestRunCells:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", StandIn)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
         configs = study_configs(self.GRID, self.BASE)[:cells]
         outcomes = run_cells(configs, workers=5000)
         assert started == ([] if pool_size is None else [pool_size])
