@@ -259,14 +259,15 @@ def _read_dataset(args):
 
 def _fit_pipeline(args, dataset):
     """Row 0 of ``_estimate_block`` on the dataset, or ``_refuse_row``'s error for it."""
-    fit, decomp, _, rule, estimates = _estimate_block(
+    block = _estimate_block(
         dataset.X, dataset.y[None], FitConfig(tolerance=args.tol), args.ptv,
         r=args.r, k=args.k, d=args.d,
     )
-    _refuse_row(fit, decomp, 0)
-    r, k, d, clamped = (value[0] for value in rule)
+    _refuse_row(block, 0)
+    r, k, d, clamped = (value[0] for value in block.rule)
+    fit, decomp = block.fit.select(0), block.decomp.select(0)
     params = ShrinkageParams(float(k), float(d))
-    return fit.select(0), decomp.select(0), int(r), params, bool(clamped), estimates
+    return fit, decomp, int(r), params, bool(clamped), block.estimates
 
 
 def _run_fit(args) -> int:

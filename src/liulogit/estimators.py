@@ -463,17 +463,39 @@ def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> di
         return dict(zip(EstimatorKind, _apply_filters(decomp.T, factors, fit.beta)))
 
 
+@dataclass(frozen=True)
+class _Block:
+    """``_estimate_block``'s result; ``rule`` and ``estimates`` hold the kept rows only."""
+
+    fit: BatchFit
+    decomp: SpectralDecomposition
+    reason: np.ndarray
+    rule: tuple
+    estimates: dict
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.reason == 0
+
+
+def _drop_reason(fit: BatchFit, decomp: SpectralDecomposition) -> np.ndarray:
+    """Per row the first reason met, the one home of the keep rule and its order: 0 kept,
+    1 singular Newton system, 2 not converged, 3 non-finite X'VX, 4 numerically singular."""
+    nonfinite = np.isnan(decomp.lambdas[:, -1])
+    conditions = [fit.singular, ~fit.converged, nonfinite, ~decomp.positive_definite]
+    return np.select(conditions, [1, 2, 3, 4])
+
+
 def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components=1):
     """The package's one estimation step, for the 0/1 responses Y (b, n) on X.
 
     IRLS and the decomposition share X's one ``_GramMap`` (X may be a design's
-    map; a plain X gets one).  Rows that converged with a ``positive_definite``
-    X'VX are kept (``_refuse_row`` raises why another was not), and the r, k
+    map; a plain X gets one).  Every row gets a ``_drop_reason``, and the r, k
     and d rules (at ``ptv``, ``min_components`` and any given r, k, d) and the
-    estimators run on those, possibly none.  Returns every row's fit and
-    decomposition, the kept mask, and the kept rows' (r, k, d, k_clamped) and
-    estimates.  Each row gets the bits it would get alone, so ``simulate_cell``
-    passes a block and ``fit`` and ``compare`` ``y[None]``.
+    estimators run on the kept rows, possibly none; ``_refuse_row`` raises why
+    another was dropped.  Returns a ``_Block``.  Each row gets the bits it
+    would get alone, so ``simulate_cell`` passes a block and ``fit`` and
+    ``compare`` ``y[None]``.
     """
     gram = _design_map(X, _as_design)
     # a given ptv, r, k or d is refused before IRLS runs, in this order
@@ -481,23 +503,23 @@ def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components
     ShrinkageParams(K_MIN if k is None else k, 0.0 if d is None else d)
     fit = irls_fit_batch(gram, Y, config)
     decomp = spectral_decompose_batch(gram, fit.v_diag)
-    kept = fit.converged & decomp.positive_definite
-    fit_kept, decomp_kept = fit.select(kept), decomp.select(kept)
+    reason = _drop_reason(fit, decomp)
+    fit_kept, decomp_kept = fit.select(reason == 0), decomp.select(reason == 0)
     rule = select_parameters(
         decomp_kept, fit_kept.beta, ptv, r=r, k=k, d=d, min_components=min_components
     )
-    return fit, decomp, kept, rule, batch_estimates(fit_kept, decomp_kept, *rule[:3])
+    return _Block(fit, decomp, reason, rule, batch_estimates(fit_kept, decomp_kept, *rule[:3]))
 
 
-def _refuse_row(fit: BatchFit, decomp: SpectralDecomposition, row: int):
-    """Raise the error that dropped ``row`` from ``_estimate_block``'s kept rows.
-
-    In the order checked: a singular Newton system, no convergence, an unusable X'VX.
-    """
-    _refuse_singular(fit, row)
-    if not fit.converged[row]:
+def _refuse_row(block: _Block, row: int):
+    """Raise the error for ``row``'s drop reason, picked by its code alone (none if kept);
+    its message is ``model._refuse_singular``'s, the one below or ``_refuse_indefinite``'s."""
+    if block.reason[row] == 1:
+        _refuse_singular(block.fit, row)
+    if block.reason[row] == 2:
         raise SingularSystemError(
-            f"IRLS did not converge in {int(fit.iterations[row])} iterations "
-            f"(final step {float(fit.final_step_norm[row]):.3e})"
+            f"IRLS did not converge in {int(block.fit.iterations[row])} iterations "
+            f"(final step {float(block.fit.final_step_norm[row]):.3e})"
         )
-    _refuse_indefinite(decomp, row)
+    if block.reason[row] >= 3:
+        _refuse_indefinite(block.decomp, row)

@@ -346,6 +346,17 @@ def _newton_steps(hessian: np.ndarray, score: np.ndarray):
     return steps, ~np.all(np.isfinite(steps), axis=-1)
 
 
+def _even_stride(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (b, m) itself for even m, else a copy whose rows lie m + 1 floats
+    apart, so every row starts 16-byte aligned, as row 0 does: OpenBLAS's
+    Prescott kernel rounds a dot product differently off that boundary."""
+    if rows.shape[1] % 2 == 0:
+        return rows
+    padded = np.empty((rows.shape[0], rows.shape[1] + 1))[:, :-1]
+    padded[...] = rows
+    return padded
+
+
 def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     """Fit every row of the 0/1 response matrix Y by IRLS with step-halving.
 
@@ -361,9 +372,11 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     set as they converge, stall or meet a singular system, which is
     flagged in ``singular``.  Every matrix product takes one row: a
     matrix-vector product with X, or one of ``_GramMap``'s products,
-    chosen by X's shape alone.  So no BLAS call grows with the number of
-    rows, and each row's arithmetic is independent of the others.  X may
-    be a design's ``_GramMap``; a plain X gets one for all its steps.
+    chosen by X's shape alone, and every row it reads of length n starts
+    16-byte aligned, as a lone row does (``_even_stride``).  So no BLAS
+    call grows with the number of rows or sees a row at another alignment,
+    and each row's arithmetic is independent of the others.  X may be a
+    design's ``_GramMap``; a plain X gets one for all its steps.
     """
     gram = _design_map(X, _as_design)
     X = gram.X
@@ -390,8 +403,8 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         if active.size == 0:
             break
         iterations[active] = iteration
-        pi = _clipped_logistic(eta[active], clip)
-        residual = Y[active]
+        pi = _even_stride(_clipped_logistic(eta[active], clip))
+        residual = _even_stride(Y[active])
         residual -= pi
         pi *= 1.0 - pi  # the Bernoulli weights v, in place
         score = np.matmul(X.T, residual[..., None])[..., 0]
@@ -435,7 +448,7 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
         active = rows[accepted & ~small]
 
     # eta holds X beta at every row's final iterate
-    v = _clipped_logistic(eta, clip)
+    v = _even_stride(_clipped_logistic(eta, clip))
     v *= 1.0 - v  # the Bernoulli weights pi*(1-pi)
     return BatchFit(
         beta=beta,

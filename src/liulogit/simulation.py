@@ -263,13 +263,14 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     for start in range(0, config.replications, REPLICATION_BLOCK):
         size = min(REPLICATION_BLOCK, config.replications - start)
         Y = (rng.random((size, config.n)) < pi).astype(float)
-        _, _, kept, (r, k, d, _), estimates = _estimate_block(
+        block = _estimate_block(
             gram, Y, FitConfig(), config.ptv_threshold,
             r=config.components, min_components=config.min_components,
         )
-        divergent += size - int(np.count_nonzero(kept))
-        for kind, estimate in estimates.items():
+        divergent += int(np.count_nonzero(block.reason))
+        for kind, estimate in block.estimates.items():
             sums[kind] += float(np.sum((estimate - beta) ** 2))
+        r, k, d, _ = block.rule
         r_total += float(np.sum(r))
         k_total += float(np.sum(k))
         d_total += float(np.sum(d))

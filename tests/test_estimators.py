@@ -15,6 +15,7 @@ from liulogit import (
     FitConfig,
     LogisticFit,
     ShrinkageParams,
+    SimulationConfig,
     SingularSystemError,
     SpectralDecomposition,
     batch_estimates,
@@ -29,10 +30,11 @@ from liulogit import (
     point_estimate,
     select_components,
     select_parameters,
+    simulate_cell,
     spectral_decompose,
     spectral_decompose_batch,
 )
-from liulogit import estimators, model
+from liulogit import estimators, model, simulation
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
 from _oracles import dense_decompose
@@ -722,14 +724,15 @@ def refusal_design():
 
 def step_fit(X, Y):
     """The fits and decompositions of the estimation step on X."""
-    fit, decomp, _, _, _ = estimators._estimate_block(X, Y, FitConfig(), 0.9)
-    return fit, decomp
+    block = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+    return block.fit, block.decomp
 
 
 def refusal(fit, decomp, row):
     """The (type, message) ``_refuse_row`` raises for the row, or None."""
+    reason = estimators._drop_reason(fit, decomp)
     try:
-        estimators._refuse_row(fit, decomp, row)
+        estimators._refuse_row(estimators._Block(fit, decomp, reason, (), {}), row)
     except (SingularSystemError, DecompositionError) as exc:
         return type(exc), str(exc)
     return None
@@ -831,7 +834,65 @@ class TestRefuseRow:
             [X[:, 0] > 0, X[:, 1] > 0, X[:, 2] < 0, X[:, 0] > X[:, 1]], dtype=float
         )
         Y = np.insert(ordinary, [0, 1, 3, 5], separated, axis=0)
-        fit, decomp, kept, _, _ = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+        block = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+        fit, decomp, kept = block.fit, block.decomp, block.kept
         assert 0 < kept.sum() < len(Y)
         refused = [refusal(fit, decomp, row) is not None for row in range(len(Y))]
         assert kept.tolist() == [not row for row in refused]
+
+
+class TestDropReason:
+    """The one code per row that says why the estimation step dropped it:
+    0 kept, 1 singular Newton system, 2 not converged, 3 non-finite X'VX,
+    4 numerically singular; the first reason met wins."""
+
+    def test_codes_of_a_synthetic_stack(self):
+        # test_first_reason_wins' synthetic stack: row 0 fails every reason,
+        # row 1 all but the Newton system, row 2 only the non-finite X'VX,
+        # row 3 only a rank-two X'VX, and row 4 none
+        X, y, _ = refusal_design()
+        fit = irls_fit_batch(X, np.tile(y, (5, 1)))
+        fit = replace(
+            fit,
+            singular=np.array([True, False, False, False, False]),
+            converged=np.array([False, False, True, True, True]),
+        )
+        v = fit.v_diag.copy()
+        v[:3, 0] = np.inf
+        v[3, 2:] = 0.0
+        decomp = spectral_decompose_batch(X, v)
+        assert estimators._drop_reason(fit, decomp).tolist() == [1, 2, 3, 4, 0]
+
+    def test_separated_rows_of_a_block(self):
+        # test_kept_exactly_when_nothing_is_raised's block: five ordinary
+        # responses with four completely separated ones interleaved
+        X, _, beta = refusal_design()
+        rng = np.random.default_rng(6)
+        pi = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        ordinary = (rng.random((5, len(X))) < pi).astype(float)
+        separated = np.array(
+            [X[:, 0] > 0, X[:, 1] > 0, X[:, 2] < 0, X[:, 0] > X[:, 1]], dtype=float
+        )
+        Y = np.insert(ordinary, [0, 1, 3, 5], separated, axis=0)
+        block = estimators._estimate_block(X, Y, FitConfig(), 0.9)
+        assert block.reason.tolist() == [2, 0, 2, 0, 0, 2, 0, 0, 2]
+        # the rules and estimators ran on the five kept rows alone
+        assert block.rule[0].shape == block.estimates[EstimatorKind.ML].shape[:1] == (5,)
+
+    def test_simulate_cell_counts_the_nonzero_codes(self, monkeypatch):
+        # 60 replications of a 15 x 4 design are one block, and 12 of its
+        # fits do not converge (with n = 15, many responses are separated)
+        config = SimulationConfig(n=15, p=4, rho=0.9, replications=60, seed=7)
+        blocks = []
+
+        def recording(*args, **kwargs):
+            blocks.append(estimators._estimate_block(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(simulation, "_estimate_block", recording)
+        result = simulate_cell(config)
+        assert len(blocks) == 1
+        (block,) = blocks
+        assert result.divergent_replications == np.count_nonzero(block.reason) == 12
+        assert np.count_nonzero(block.kept) == config.replications - 12
+        assert set(block.reason[~block.kept].tolist()) == {2}

@@ -513,9 +513,9 @@ class TestFitCommand:
         path = tmp_path / "scaled.csv"
         write_dataset(Dataset(X=data.X * [1.0, 1.0, 1e8], y=data.y), path, header=False)
         parsed = parse_dataset(path)
-        _, decomp, *_ = estimators._estimate_block(
+        decomp = estimators._estimate_block(
             parsed.X, parsed.y[None], FitConfig(), SimulationConfig.ptv_threshold
-        )
+        ).decomp
         smallest, largest = decomp.lambdas[0, -1], decomp.lambdas[0, 0]
         assert main([command, "--input", str(path)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == (

@@ -9,9 +9,14 @@ oracle loop; on a duplicated column it must not end in a usable fit.  The
 stacked eigendecomposition of X'VX keeps the same bitwise row contract,
 also when X'VX takes the dense product of a design too large for the
 packed one, and X'VX, in either of its product forms, is exactly
-symmetric and within summation roundoff of the dense one.
+symmetric and within summation roundoff of the dense one.  The row
+contract also holds under a BLAS kernel whose products depend on a row's
+alignment (OpenBLAS's Prescott kernel), checked in a fresh interpreter.
 """
 
+import platform
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +34,7 @@ from liulogit import (
 from liulogit import model
 
 from _oracles import scalar_irls
-from _util import correlated_design, gram_chunk_budget
+from _util import correlated_design, gram_chunk_budget, src_env
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -108,6 +113,45 @@ def test_rows_are_independent_and_match_oracle(stack):
             # to infinity (separation), at the cap or on a rejected step,
             # compounds that rounding over every step it took
             assert gap <= 1e-10 + 1e-7 * np.max(np.abs(want.beta)), i
+
+
+# two-row stacks with odd n: row 1 of a contiguous (2, n) array starts 8
+# bytes off a 16-byte boundary, where OpenBLAS's Prescott ddot rounds X'r
+# differently from row 0
+ALIGNMENT_SCRIPT = """
+from dataclasses import fields
+import numpy as np
+from liulogit.model import BatchFit, irls_fit_batch
+
+for seed in range(48):
+    rng = np.random.default_rng(seed)
+    p = 1 + seed % 3
+    n = int(rng.choice([3, 5, 7, 9, 11]))
+    X = rng.standard_normal((n, p))
+    pi = 1.0 / (1.0 + np.exp(-(X @ rng.standard_normal(p))))
+    Y = (rng.random((2, n)) < pi).astype(float)
+    batch = irls_fit_batch(X, Y)
+    for i in range(2):
+        alone = irls_fit_batch(X, Y[i : i + 1])
+        for field in fields(BatchFit):
+            got, want = getattr(batch, field.name)[i], getattr(alone, field.name)[0]
+            if not np.array_equal(got, want, equal_nan=True):
+                print(f"seed {seed} (n = {n}, p = {p}) row {i}: {field.name}")
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS's Prescott kernel is an x86-64 kernel",
+)
+def test_odd_width_rows_are_independent_under_prescott():
+    # OPENBLAS_CORETYPE is read once, when numpy loads OpenBLAS
+    result = subprocess.run(
+        [sys.executable, "-c", ALIGNMENT_SCRIPT],
+        env=src_env(OPENBLAS_CORETYPE="Prescott"),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == ""
 
 
 def weight_row(kind, n, rng):
