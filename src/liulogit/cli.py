@@ -24,6 +24,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 # The paper's products are small. A BLAS thread per core only spins idle
 # while the command starts, competes with the other --workers processes and
@@ -217,10 +218,18 @@ def build_parser() -> _Parser:
     sim.add_argument("--out", default=None, help="directory for tables and JSON")
     sim.add_argument("--workers", type=int, default=None)
     sim.add_argument("--design-scaling", choices=_DESIGN_SCALINGS,
-                     default=SimulationConfig.design_scaling)
+                     default=SimulationConfig.design_scaling,
+                     help="fixed_norm rescales every column to norm 2*sqrt(2) and pins "
+                          "the component count per p; raw keeps the drawn columns and "
+                          "picks the count per replication by the total-variability rule")
     sim.add_argument("--min-components", type=int,
-                     default=SimulationConfig.min_components)
-    sim.add_argument("--components", type=int, default=None)
+                     default=SimulationConfig.min_components,
+                     help="floor on the total-variability rule's component count; "
+                          "applies only when no count is pinned, i.e. with "
+                          "--design-scaling raw and without --components")
+    sim.add_argument("--components", type=int, default=None,
+                     help="component count for every cell under either scaling, in "
+                          "place of the per-p count or the total-variability rule")
 
     comp = sub.add_parser("compare", help="dominance analysis on a dataset")
     _add_dataset_args(comp)
@@ -258,34 +267,33 @@ def _read_dataset(args):
 
 
 def _fit_pipeline(args, dataset):
-    """Row 0 of ``_estimate_block`` on the dataset, or ``_refuse_row``'s error for it."""
+    """Row 0 of ``_estimate_block`` on the dataset by name, or ``_refuse_row``'s error:
+    its ``fit``, ``decomp``, ``estimates`` and ``rule``, the rule's values Python scalars."""
     block = _estimate_block(
         dataset.X, dataset.y[None], FitConfig(tolerance=args.tol), args.ptv,
         r=args.r, k=args.k, d=args.d,
     )
     _refuse_row(block, 0)
-    r, k, d, clamped = (value[0] for value in block.rule)
-    fit, decomp = block.fit.select(0), block.decomp.select(0)
-    params = ShrinkageParams(float(k), float(d))
-    return fit, decomp, int(r), params, bool(clamped), block.estimates
+    return SimpleNamespace(
+        fit=block.fit.select(0), decomp=block.decomp.select(0),
+        estimates={kind: estimate[0] for kind, estimate in block.estimates.items()},
+        rule={name: value[0].item() for name, value in block.rule.items()},
+    )
 
 
 def _run_fit(args) -> int:
     dataset = _read_dataset(args)
-    fit, decomp, r, params, clamped, estimates = _fit_pipeline(args, dataset)
+    row = _fit_pipeline(args, dataset)
     for kind in args.estimators:
-        if not np.all(np.isfinite(estimates[kind][0])):
+        if not np.all(np.isfinite(row.estimates[kind])):
             raise DecompositionError(f"the {kind.display_name} estimate is not finite")
-    coefficients = {kind.value: estimates[kind][0].tolist() for kind in args.estimators}
-    lambdas = decomp.lambdas
+    coefficients = {kind.value: row.estimates[kind].tolist() for kind in args.estimators}
+    fit, lambdas = row.fit, row.decomp.lambdas
     report = {
         "coefficients": coefficients,
-        "r": r,
+        **row.rule,  # r, k, d and k_clamped
         "r_source": "user" if args.r is not None else "rule",
-        "k": params.k,
         "k_source": "user" if args.k is not None else "rule",
-        "k_clamped": clamped,
-        "d": params.d,
         "d_source": "user" if args.d is not None else "rule",
         "eigenvalues": [float(v) for v in lambdas],
         "condition_number": float(lambdas[0] / lambdas[-1]),
@@ -383,12 +391,13 @@ def _run_compare(args) -> int:
         raise DatasetFormatError(
             f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
         )
-    fit, decomp, r, params, _, _ = _fit_pipeline(args, dataset)
-    split = decomp.split(r)
-    beta, beta_source = (fit.beta, "plug_in_mle") if beta is None else (beta, "true_beta")
+    row = _fit_pipeline(args, dataset)
+    r, params = row.rule["r"], ShrinkageParams(row.rule["k"], row.rule["d"])
+    split = row.decomp.split(r)
+    beta, beta_source = (row.fit.beta, "plug_in_mle") if beta is None else (beta, "true_beta")
 
     reports = {
-        kind: asymptotic_msem(EstimatorSpec.of(kind, params, r), decomp, beta)
+        kind: asymptotic_msem(EstimatorSpec.of(kind, params, r), row.decomp, beta)
         for kind in dict.fromkeys(kind for pair in args.pair for kind in pair)
     }
     rows = []

@@ -289,11 +289,21 @@ def _check_ptv(ptv_threshold: float):
         raise ValueError("ptv_threshold must lie in (0, 1]")
 
 
-def _check_given(p: int, ptv_threshold: float, r=None):
-    # the threshold is checked even where a given r leaves it unread
+def _check_given(p: int, ptv_threshold: float, r=None, k=None, d=None):
+    """The one check of given parameters: ptv (even if unread), r, k, d, in that order."""
     _check_ptv(ptv_threshold)
     if r is not None and not 1 <= r <= p:
         raise ValueError(f"r must lie in [1, {p}]")
+    ShrinkageParams(K_MIN if k is None else k, 0.0 if d is None else d)
+
+
+def _check_lambdas(lambdas, descending=False) -> np.ndarray:
+    """``lambdas`` as floats, all positive (NaN is not) and, if asked, descending."""
+    lam = np.asarray(lambdas, dtype=float)
+    if not np.all(lam > 0.0) or descending and np.any(np.diff(lam, axis=-1) > 0):
+        order = " and sorted descending" if descending else ""
+        raise ValueError(f"lambdas must be positive{order}")
+    return lam
 
 
 def select_components(lambdas, ptv_threshold: float):
@@ -303,9 +313,7 @@ def select_components(lambdas, ptv_threshold: float):
     exactly 1 and r <= p for every threshold in (0, 1].  ``lambdas`` may
     carry leading batch axes; r is then an integer array.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0.0) or np.any(np.diff(lam, axis=-1) > 0):
-        raise ValueError("lambdas must be positive and sorted descending")
+    lam = _check_lambdas(lambdas, descending=True)
     _check_ptv(ptv_threshold)
     shares = np.cumsum(lam, axis=-1)
     shares /= shares[..., -1:]
@@ -390,9 +398,7 @@ def choose_d(lambdas):
 
     ``lambdas`` may carry leading batch axes; d is then an array.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("lambdas must be positive")
+    lam = _check_lambdas(lambdas)
     d = 0.5 * np.min(lam / (1.0 + lam), axis=-1)
     return float(d) if d.ndim == 0 else d
 
@@ -410,8 +416,7 @@ def choose_k(lambdas, alpha_hat, d) -> KSelection:
     alpha = np.asarray(alpha_hat, dtype=float)
     if lam.shape != alpha.shape:
         raise ValueError("lambdas and alpha_hat must have equal length")
-    if np.any(lam <= 0.0):
-        raise ValueError("lambdas must be positive")
+    _check_lambdas(lam)
     d = np.asarray(d, dtype=float)[..., None]
     alpha_sq = np.maximum(alpha**2, ALPHA_FLOOR**2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -431,13 +436,13 @@ def select_parameters(
 
     r is ``select_components`` floored at ``min_components`` and capped at
     p, d is ``choose_d``, and k is ``choose_k`` at that d and the ML
-    eigencoordinates T'beta of ``beta`` (..., p).  Returns (r, k, d,
-    k_clamped) broadcast to the batch shape of ``decomp``; a given k is
-    never clamped.
+    eigencoordinates T'beta of ``beta`` (..., p); ``_check_given`` refuses
+    a bad given value as ``fit`` does.  Returns (r, k, d, k_clamped)
+    broadcast to the batch shape of ``decomp``; a given k is never clamped.
     """
     lam = decomp.lambdas
     p = lam.shape[-1]
-    _check_given(p, ptv_threshold, r)
+    _check_given(p, ptv_threshold, r, k, d)
     if r is None:
         r = np.clip(select_components(lam, ptv_threshold), min_components, p)
     if d is None:
@@ -465,12 +470,13 @@ def batch_estimates(fit: BatchFit, decomp: SpectralDecomposition, r, k, d) -> di
 
 @dataclass(frozen=True)
 class _Block:
-    """``_estimate_block``'s result; ``rule`` and ``estimates`` hold the kept rows only."""
+    """``_estimate_block``'s result; ``rule`` (r, k, d, k_clamped) and ``estimates``
+    (by ``EstimatorKind``) are dicts of arrays over the kept rows only."""
 
     fit: BatchFit
     decomp: SpectralDecomposition
     reason: np.ndarray
-    rule: tuple
+    rule: dict
     estimates: dict
 
     @property
@@ -498,17 +504,17 @@ def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components
     ``compare`` ``y[None]``.
     """
     gram = _design_map(X, _as_design)
-    # a given ptv, r, k or d is refused before IRLS runs, in this order
-    _check_given(gram.X.shape[1], ptv, r)
-    ShrinkageParams(K_MIN if k is None else k, 0.0 if d is None else d)
+    # a given ptv, r, k or d is refused before IRLS runs
+    _check_given(gram.X.shape[1], ptv, r, k, d)
     fit = irls_fit_batch(gram, Y, config)
     decomp = spectral_decompose_batch(gram, fit.v_diag)
     reason = _drop_reason(fit, decomp)
     fit_kept, decomp_kept = fit.select(reason == 0), decomp.select(reason == 0)
-    rule = select_parameters(
+    rule = dict(zip(("r", "k", "d", "k_clamped"), select_parameters(
         decomp_kept, fit_kept.beta, ptv, r=r, k=k, d=d, min_components=min_components
-    )
-    return _Block(fit, decomp, reason, rule, batch_estimates(fit_kept, decomp_kept, *rule[:3]))
+    )))
+    estimates = batch_estimates(fit_kept, decomp_kept, rule["r"], rule["k"], rule["d"])
+    return _Block(fit, decomp, reason, rule, estimates)
 
 
 def _refuse_row(block: _Block, row: int):

@@ -237,9 +237,10 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
     successive ``generate_response`` calls) and one ``_estimate_block``
     over the cell's ``_GramMap``, which beta is read through too, with r
     pinned to ``config.components`` when set, else the total-variability
-    rule floored at ``config.min_components``.  Each kept replication adds
-    ||estimate - beta||^2; the others are dropped from the MSE denominator
-    and counted.  Results depend on neither the process nor the workers.
+    rule floored at ``config.min_components``.  Each block's sums of the
+    kept replications' ||estimate - beta||^2, r, k and d are added in block
+    order and divided once by the kept count; the others are dropped and
+    counted.  Results depend on neither the process nor the workers.
 
     Raises
     ------
@@ -254,11 +255,9 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
         raise _cell_failed(config, str(exc)) from exc
     pi = logistic(gram.X @ beta)
 
-    sums = {kind: 0.0 for kind in EstimatorKind}
+    # one accumulator keyed by name: each block's sums, added in block order
+    totals = dict.fromkeys([*EstimatorKind, "r", "k", "d"], 0.0)
     divergent = 0
-    r_total = 0.0
-    k_total = 0.0
-    d_total = 0.0
 
     for start in range(0, config.replications, REPLICATION_BLOCK):
         size = min(REPLICATION_BLOCK, config.replications - start)
@@ -268,24 +267,21 @@ def simulate_cell(config: SimulationConfig) -> CellResult:
             r=config.components, min_components=config.min_components,
         )
         divergent += int(np.count_nonzero(block.reason))
-        for kind, estimate in block.estimates.items():
-            sums[kind] += float(np.sum((estimate - beta) ** 2))
-        r, k, d, _ = block.rule
-        r_total += float(np.sum(r))
-        k_total += float(np.sum(k))
-        d_total += float(np.sum(d))
+        squared = {kind: (estimate - beta) ** 2 for kind, estimate in block.estimates.items()}
+        rows = {**block.rule, **squared}
+        for name in totals:
+            totals[name] += float(np.sum(rows[name]))
 
     converged = config.replications - divergent
     if converged == 0:
         raise _cell_failed(config, f"all {config.replications} replications diverged")
 
+    mean = {name: total / converged for name, total in totals.items()}
     return CellResult(
         config=config,
-        mse={kind: sums[kind] / converged for kind in EstimatorKind},
+        mse={kind: mean[kind] for kind in EstimatorKind},
         divergent_replications=divergent,
-        mean_r=r_total / converged,
-        mean_k=k_total / converged,
-        mean_d=d_total / converged,
+        mean_r=mean["r"], mean_k=mean["k"], mean_d=mean["d"],
     )
 
 

@@ -449,6 +449,13 @@ class TestValidationMessages:
             pytest.param(lambda: select_components([1.0, 0.0], 0.75),
                          "lambdas must be positive and sorted descending",
                          id="components-lambdas"),
+            # NaN is not positive: no rule reads it as a share, a d or a clamped k
+            pytest.param(lambda: select_components([3.0, np.nan, 1.0], 0.75),
+                         "lambdas must be positive and sorted descending",
+                         id="components-nan"),
+            pytest.param(lambda: select_components([[3.0, 2.0], [np.nan, 1.0]], 0.75),
+                         "lambdas must be positive and sorted descending",
+                         id="stacked-components-nan"),
             pytest.param(lambda: select_components([2.0, 1.0], 1.5),
                          "ptv_threshold must lie in (0, 1]", id="components-ptv"),
             pytest.param(lambda: filter_factors(EstimatorKind.PCLR, [2.0, 1.0], r=3),
@@ -458,8 +465,12 @@ class TestValidationMessages:
                          "estimator requires a converged fit", id="point-unconverged"),
             pytest.param(lambda: choose_d([1.0, 0.0]),
                          "lambdas must be positive", id="choose-d-lambdas"),
+            pytest.param(lambda: choose_d([3.0, np.nan]),
+                         "lambdas must be positive", id="choose-d-nan"),
             pytest.param(lambda: choose_k([1.0, -1.0], [1.0, 1.0], 0.1),
                          "lambdas must be positive", id="choose-k-lambdas"),
+            pytest.param(lambda: choose_k([3.0, np.nan, 1.0], [1.0, 1.0, 1.0], 0.1),
+                         "lambdas must be positive", id="choose-k-nan"),
             pytest.param(lambda: choose_k([1.0], [1.0, 1.0], 0.1),
                          "lambdas and alpha_hat must have equal length",
                          id="choose-k-length"),
@@ -706,6 +717,28 @@ class TestSelectParameters:
         capped = select_parameters(decomp, fit.beta, 0.5, min_components=9)[0]
         assert capped.tolist() == [5] * 6
 
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"k": 0.0}, "k must be positive"),
+            ({"k": -1.0}, "k must be positive"),
+            ({"k": np.inf}, "k must be positive"),
+            ({"k": np.nan}, "k must be positive"),
+            ({"d": np.nan}, "d must be finite"),
+            ({"d": -np.inf}, "d must be finite"),
+            # the order: ptv, r, k, d, as the fit command checks them
+            ({"ptv_threshold": 2.0, "r": 0, "k": -1.0, "d": np.inf},
+             "ptv_threshold must lie in (0, 1]"),
+            ({"r": 0, "k": -1.0, "d": np.inf}, "r must lie in [1, 5]"),
+            ({"k": -1.0, "d": np.inf}, "k must be positive"),
+        ],
+    )
+    def test_given_parameters_are_refused(self, given, message):
+        _, fit, decomp = batched_instance(150, 5, 0.99, 3, seed=45)
+        given = {"ptv_threshold": 0.75, **given}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_parameters(decomp, fit.beta, **given)
+
     def test_given_k_is_kept_unclamped(self):
         _, fit, decomp = batched_instance(150, 5, 0.99, 6, seed=47)
         # d above every eigenvalue drives the rule's k below zero
@@ -732,7 +765,7 @@ def refusal(fit, decomp, row):
     """The (type, message) ``_refuse_row`` raises for the row, or None."""
     reason = estimators._drop_reason(fit, decomp)
     try:
-        estimators._refuse_row(estimators._Block(fit, decomp, reason, (), {}), row)
+        estimators._refuse_row(estimators._Block(fit, decomp, reason, {}, {}), row)
     except (SingularSystemError, DecompositionError) as exc:
         return type(exc), str(exc)
     return None
@@ -877,7 +910,7 @@ class TestDropReason:
         block = estimators._estimate_block(X, Y, FitConfig(), 0.9)
         assert block.reason.tolist() == [2, 0, 2, 0, 0, 2, 0, 0, 2]
         # the rules and estimators ran on the five kept rows alone
-        assert block.rule[0].shape == block.estimates[EstimatorKind.ML].shape[:1] == (5,)
+        assert block.rule["r"].shape == block.estimates[EstimatorKind.ML].shape[:1] == (5,)
 
     def test_simulate_cell_counts_the_nonzero_codes(self, monkeypatch):
         # 60 replications of a 15 x 4 design are one block, and 12 of its
@@ -896,3 +929,30 @@ class TestDropReason:
         assert result.divergent_replications == np.count_nonzero(block.reason) == 12
         assert np.count_nonzero(block.kept) == config.replications - 12
         assert set(block.reason[~block.kept].tolist()) == {2}
+
+    def test_cell_divides_the_block_sums_once(self, monkeypatch):
+        # 70 replications are a block of 64 and one of 6; each CellResult
+        # number is the blocks' sums, added in block order, over the kept count
+        config = SimulationConfig(n=15, p=4, rho=0.9, replications=70, seed=8)
+        blocks = []
+
+        def recording(*args, **kwargs):
+            blocks.append(estimators._estimate_block(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(simulation, "_estimate_block", recording)
+        result = simulate_cell(config)
+        assert [len(block.reason) for block in blocks] == [64, 6]
+        _, beta = simulation.cell_design(config)
+        totals = dict.fromkeys([*EstimatorKind, "r", "k", "d"], 0.0)
+        for block in blocks:
+            for kind in EstimatorKind:
+                totals[kind] += float(np.sum((block.estimates[kind] - beta) ** 2))
+            for name in ("r", "k", "d"):
+                totals[name] += float(np.sum(block.rule[name]))
+        kept = sum(int(np.count_nonzero(block.kept)) for block in blocks)
+        assert 0 < kept < config.replications == kept + result.divergent_replications
+        means = [result.mse[kind] for kind in EstimatorKind]
+        means += [result.mean_r, result.mean_k, result.mean_d]
+        expected = [total / kept for total in totals.values()]
+        assert np.array(means).tobytes() == np.array(expected).tobytes()
