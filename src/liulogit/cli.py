@@ -54,7 +54,7 @@ from .io import (
     render_table_text,
     study_to_json,
 )
-from .model import FitConfig
+from .model import FitConfig, _as_count
 from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
     _DESIGN_SCALINGS,
@@ -87,9 +87,7 @@ def _default_seed() -> int:
         seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return seed
+    return _as_count(seed, SEED_ENV_VAR, 0)
 
 
 def _csv_values(convert, noun: str):

@@ -35,6 +35,7 @@ from .errors import DecompositionError, SingularSystemError
 from .model import (
     BatchFit,
     LogisticFit,
+    _as_count,
     _as_design,
     _design_map,
     _refuse_singular,
@@ -136,8 +137,7 @@ class ComponentSplit:
     r: int
 
     def __post_init__(self):
-        if not (1 <= self.r <= self.decomposition.p):
-            raise ValueError(f"r must lie in [1, {self.decomposition.p}], got {self.r}")
+        _as_count(self.r, "r", 1, self.decomposition.p)
 
     @property
     def p(self) -> int:
@@ -213,8 +213,8 @@ class EstimatorSpec:
                 raise ValueError(
                     f"{name} requires {field}" if needed else f"{name} takes no {field}"
                 )
-        if self.r is not None and self.r < 1:
-            raise ValueError("r must be at least 1")
+        if self.r is not None:
+            _as_count(self.r, "r", 1)
 
     @classmethod
     def of(cls, kind: EstimatorKind, params=None, r=None) -> "EstimatorSpec":
@@ -292,8 +292,8 @@ def _check_ptv(ptv_threshold: float):
 def _check_given(p: int, ptv_threshold: float, r=None, k=None, d=None):
     """The one check of given parameters: ptv (even if unread), r, k, d, in that order."""
     _check_ptv(ptv_threshold)
-    if r is not None and not 1 <= r <= p:
-        raise ValueError(f"r must lie in [1, {p}]")
+    if r is not None:
+        _as_count(r, "r", 1, p)
     ShrinkageParams(K_MIN if k is None else k, 0.0 if d is None else d)
 
 
@@ -337,9 +337,7 @@ def filter_factors(kind: EstimatorKind, lambdas, r=None, k=None, d=None) -> np.n
         g = (lam - d) / (lam + k)
     if kind.truncates:
         p = lam.shape[-1]
-        r = np.asarray(r)
-        if np.any((r < 1) | (r > p)):
-            raise ValueError(f"r must lie in [1, {p}], got {r}")
+        r = np.asarray(_as_count(r, "r", 1, p))
         g = np.where(np.arange(p) < r[..., None], g, 0.0)
     return g
 
@@ -443,6 +441,7 @@ def select_parameters(
     lam = decomp.lambdas
     p = lam.shape[-1]
     _check_given(p, ptv_threshold, r, k, d)
+    _as_count(min_components, "min_components", 1)
     if r is None:
         r = np.clip(select_components(lam, ptv_threshold), min_components, p)
     if d is None:

@@ -52,6 +52,17 @@ def _as_vector(v, name: str) -> np.ndarray:
     return v
 
 
+def _as_count(value, name: str, low: int, high: float = np.inf):
+    """``value`` if it is an integer in [low, high], the package's one check of a count:
+    a Python int of any size, a numpy integer or an integer array, never a bool."""
+    python_int = isinstance(value, int) and not isinstance(value, bool)
+    v = value if python_int else np.asarray(value)  # a bool's array is of kind "b"
+    if not ((python_int or v.dtype.kind in "iu") and np.all((low <= v) & (v <= high))):
+        bounds = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 def _as_design(X) -> np.ndarray:
     X = _as_matrix(X)
     if not np.all(np.isfinite(X)):
@@ -103,8 +114,7 @@ class FitConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _as_count(self.max_iterations, "max_iterations", 1)
         if not (0.0 < self.probability_clip < 0.5):
             raise ValueError("probability_clip must lie in (0, 1/2)")
 

@@ -27,7 +27,7 @@ from .estimators import (
     _estimate_block,
     spectral_decompose_batch,
 )
-from .model import FitConfig, _design_map, _GramMap, logistic
+from .model import FitConfig, _as_count, _design_map, _GramMap, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -77,21 +77,17 @@ class SimulationConfig:
     components: int | None = None
 
     def __post_init__(self):
-        if not (self.n > self.p >= 2):
-            raise ValueError(f"need n > p >= 2, got n={self.n}, p={self.p}")
+        _as_count(self.n, "n", _as_count(self.p, "p", 2) + 1)  # n > p >= 2
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must lie in [0, 1)")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _as_count(self.replications, "replications", 1)
+        _as_count(self.seed, "seed", 0)
         _check_ptv(self.ptv_threshold)
         if self.design_scaling not in _DESIGN_SCALINGS:
             raise ValueError(f"unknown design_scaling {self.design_scaling!r}")
-        if self.min_components < 1:
-            raise ValueError("min_components must be at least 1")
-        if self.components is not None and not (1 <= self.components <= self.p):
-            raise ValueError(f"components must lie in [1, {self.p}]")
+        _as_count(self.min_components, "min_components", 1)
+        if self.components is not None:
+            _as_count(self.components, "components", 1, self.p)
 
 
 @dataclass(frozen=True)

@@ -445,7 +445,7 @@ class TestValidationMessages:
                          "lambdas must be sorted descending",
                          id="stacked-decomposition-order"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), [2.0, 1.0]).split(3),
-                         "r must lie in [1, 2], got 3", id="split-r"),
+                         "r must be an integer in [1, 2], got 3", id="split-r"),
             pytest.param(lambda: select_components([1.0, 0.0], 0.75),
                          "lambdas must be positive and sorted descending",
                          id="components-lambdas"),
@@ -459,7 +459,7 @@ class TestValidationMessages:
             pytest.param(lambda: select_components([2.0, 1.0], 1.5),
                          "ptv_threshold must lie in (0, 1]", id="components-ptv"),
             pytest.param(lambda: filter_factors(EstimatorKind.PCLR, [2.0, 1.0], r=3),
-                         "r must lie in [1, 2], got 3", id="factors-r"),
+                         "r must be an integer in [1, 2], got 3", id="factors-r"),
             pytest.param(lambda: point_estimate(UNCONVERGED, np.ones((2, 1)),
                                                 EstimatorSpec(EstimatorKind.ML)),
                          "estimator requires a converged fit", id="point-unconverged"),
@@ -500,7 +500,7 @@ class TestSpecsAndDispatch:
             (EstimatorKind.LTL, False, None, "LTL requires params"),
             (EstimatorKind.PCLR, False, None, "PCLR requires r"),
             (EstimatorKind.LTL, True, 2, "LTL takes no r"),
-            (EstimatorKind.PCLR, False, 0, "r must be at least 1"),
+            (EstimatorKind.PCLR, False, 0, "r must be an integer >= 1, got 0"),
         ],
     )
     def test_spec_validation_messages(self, kind, with_params, r, message):
@@ -705,7 +705,7 @@ class TestSelectParameters:
     @pytest.mark.parametrize("r", [0, 6])
     def test_given_r_outside_range_rejected(self, r):
         _, fit, decomp = batched_instance(150, 5, 0.99, 3, seed=45)
-        with pytest.raises(ValueError, match=re.escape("r must lie in [1, 5]")):
+        with pytest.raises(ValueError, match=re.escape("r must be an integer in [1, 5]")):
             select_parameters(decomp, fit.beta, 0.75, r=r)
 
     def test_min_components_floors_then_caps(self):
@@ -729,7 +729,7 @@ class TestSelectParameters:
             # the order: ptv, r, k, d, as the fit command checks them
             ({"ptv_threshold": 2.0, "r": 0, "k": -1.0, "d": np.inf},
              "ptv_threshold must lie in (0, 1]"),
-            ({"r": 0, "k": -1.0, "d": np.inf}, "r must lie in [1, 5]"),
+            ({"r": 0, "k": -1.0, "d": np.inf}, "r must be an integer in [1, 5], got 0"),
             ({"k": -1.0, "d": np.inf}, "k must be positive"),
         ],
     )
@@ -956,3 +956,99 @@ class TestDropReason:
         means += [result.mean_r, result.mean_k, result.mean_d]
         expected = [total / kept for total in totals.values()]
         assert np.array(means).tobytes() == np.array(expected).tobytes()
+
+
+COUNT_DECOMP = SpectralDecomposition(np.eye(3), [3.0, 2.0, 1.0])
+COUNT_X = correlated_design(30, 3, 0.5, np.random.default_rng(3))
+COUNT_Y = (np.random.default_rng(4).random((2, 30)) < 0.5).astype(float)
+CELL = dict(n=100, p=4, rho=0.5)
+
+# every count the library takes: its name, a call that passes it, a valid
+# value and an integer out of range
+COUNTS = {
+    "select_parameters-r": (
+        "r", lambda r: select_parameters(COUNT_DECOMP, np.ones(3), 0.75, r=r), 2, 4),
+    "select_parameters-min_components": (
+        "min_components",
+        lambda m: select_parameters(COUNT_DECOMP, np.ones(3), 0.75, min_components=m), 2, 0),
+    "estimate_block-r": (
+        "r", lambda r: estimators._estimate_block(COUNT_X, COUNT_Y, FitConfig(), 0.75, r=r),
+        2, 0),
+    "ComponentSplit-r": ("r", lambda r: estimators.ComponentSplit(COUNT_DECOMP, r), 2, 4),
+    "EstimatorSpec-r": ("r", lambda r: EstimatorSpec(EstimatorKind.PCLR, r=r), 2, 0),
+    "filter_factors-r": (
+        "r", lambda r: filter_factors(EstimatorKind.PCLTL, [3.0, 2.0, 1.0], r, 1.0, 0.0), 2, 4),
+    "SimulationConfig-n": ("n", lambda n: SimulationConfig(**{**CELL, "n": n}), 5, 4),
+    "SimulationConfig-p": ("p", lambda p: SimulationConfig(**{**CELL, "p": p}), 2, 1),
+    "SimulationConfig-replications": (
+        "replications", lambda m: SimulationConfig(replications=m, **CELL), 3, 0),
+    "SimulationConfig-seed": ("seed", lambda s: SimulationConfig(seed=s, **CELL), 3, -1),
+    "SimulationConfig-min_components": (
+        "min_components", lambda m: SimulationConfig(min_components=m, **CELL), 3, 0),
+    "SimulationConfig-components": (
+        "components", lambda c: SimulationConfig(components=c, **CELL), 3, 5),
+    "FitConfig-max_iterations": (
+        "max_iterations", lambda m: FitConfig(max_iterations=m), 3, 0),
+}
+
+
+class TestCountContract:
+    """Every count is checked by one helper: a Python or numpy integer in range
+    passes, and a bool, a float (integral or not) or an integer out of range is
+    refused with one ValueError that names the value."""
+
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    @pytest.mark.parametrize(
+        "bad", [2.5, True, np.float64(3.0), "out-of-range"],
+        ids=["float", "bool", "numpy-float", "out-of-range"],
+    )
+    def test_refused_with_one_message(self, entry, bad):
+        name, call, _, out_of_range = COUNTS[entry]
+        value = out_of_range if isinstance(bad, str) else bad
+        message = f"^{name} must be an integer (>= |in \\[).*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("entry", list(COUNTS))
+    def test_python_and_numpy_integers_pass(self, entry):
+        _, call, valid, _ = COUNTS[entry]
+        call(valid)
+        call(np.int64(valid))
+
+    def test_seed_of_any_size_passes(self):
+        assert SimulationConfig(seed=2**64 + 1, **CELL).seed == 2**64 + 1
+
+    def test_stacked_r_is_an_integer_array(self):
+        lam = [[3.0, 2.0, 1.0]] * 2
+        g = filter_factors(EstimatorKind.PCLR, lam, np.array([1, 3]))
+        assert g.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        for r in (np.array([1.0, 3.0]), np.array([True, True]), np.array([0, 3])):
+            with pytest.raises(ValueError, match="^r must be an integer in \\[1, 3\\], got"):
+                filter_factors(EstimatorKind.PCLR, lam, r)
+
+
+class TestInputsUntouched:
+    """The estimation step never writes to its inputs: X, plain or as its
+    ``_GramMap``, Y and the weight rows keep their bits.  Odd widths matter:
+    ``model._even_stride`` copies an odd-width stack but returns an even-width
+    one itself, so an in-place update of its result would reach the caller."""
+
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("path", ["packed", "dense"])
+    def test_inputs_keep_their_bits(self, monkeypatch, n, path):
+        if path == "dense":
+            monkeypatch.setattr(model, "GRAM_CHUNK_BYTES", gram_chunk_budget(n, 3, 2))
+        rng = np.random.default_rng(n)
+        X = correlated_design(n, 3, 0.9, rng)
+        Y = (rng.random((6, n)) < 0.5).astype(float)
+        gram = model._GramMap(X.copy())
+        assert (gram.K is None) == (path == "dense")
+        v = irls_fit_batch(X, Y).v_diag.copy()
+        inputs = [X, Y, v, gram.X, gram.K if gram.XT is None else gram.XT]
+        before = [a.tobytes() for a in inputs]
+        for design in (X, gram):
+            irls_fit_batch(design, Y)
+            spectral_decompose_batch(design, v)
+            estimators._estimate_block(design, Y, FitConfig(), 0.75)
+            estimators._estimate_block(design, Y, FitConfig(), 0.75, r=2, k=1.0, d=0.1)
+        assert [a.tobytes() for a in inputs] == before

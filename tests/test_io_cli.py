@@ -416,7 +416,7 @@ class TestFitCommand:
              "LIULOGIT_SEED must be an integer, got 'x'"),
             (["fit", "--config", "{tmp}/absent.cfg"],
              "cannot read config file {tmp}/absent.cfg: No such file or directory"),
-            (["fit", "--input", "{csv}", "--r", "0"], "r must lie in [1, 3]"),
+            (["fit", "--input", "{csv}", "--r", "0"], "r must be an integer in [1, 3], got 0"),
             (["fit", "--input", "{csv}", "--tol", "inf"],
              "tolerance must be finite and positive"),
             (["simulate", "--workers", "0", "--out", "{tmp}/out"],
@@ -527,14 +527,15 @@ class TestFitCommand:
         "command, flags, message",
         [
             ("fit", ["--ptv", "0"], "ptv_threshold must lie in (0, 1]"),
-            ("fit", ["--r", "0"], "r must lie in [1, 3]"),
+            ("fit", ["--r", "0"], "r must be an integer in [1, 3], got 0"),
             ("fit", ["--k", "0"], "k must be positive"),
             ("fit", ["--d", "nan"], "d must be finite"),
-            ("compare", ["--r", "9"], "r must lie in [1, 3]"),
+            ("compare", ["--r", "9"], "r must be an integer in [1, 3], got 9"),
             # the order: ptv, r, k, d
             ("compare", ["--d", "inf", "--k", "-1", "--r", "0", "--ptv", "2"],
              "ptv_threshold must lie in (0, 1]"),
-            ("fit", ["--d", "inf", "--k", "-1", "--r", "0"], "r must lie in [1, 3]"),
+            ("fit", ["--d", "inf", "--k", "-1", "--r", "0"],
+             "r must be an integer in [1, 3], got 0"),
             ("fit", ["--d", "inf", "--k", "-1"], "k must be positive"),
         ],
     )
@@ -631,7 +632,7 @@ class TestFitCommand:
 
     def test_zero_r_rejected_as_usage(self, toy_csv, capsys):
         assert main(["fit", "--input", str(toy_csv), "--r", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "usage error: r must lie in [1, 3]\n"
+        assert capsys.readouterr().err == "usage error: r must be an integer in [1, 3], got 0\n"
 
     @pytest.mark.parametrize(
         "content, extra, message",
@@ -869,9 +870,9 @@ class TestSimulateCommand:
         "env, flags, line",
         [
             (None, ["--seed", "-1"],
-             "usage error: seed must be a non-negative integer, got -1\n"),
+             "usage error: seed must be an integer >= 0, got -1\n"),
             ("-5", [],
-             "usage error: LIULOGIT_SEED must be a non-negative integer, got '-5'\n"),
+             "usage error: LIULOGIT_SEED must be an integer >= 0, got -5\n"),
         ],
         ids=["flag", "env"],
     )

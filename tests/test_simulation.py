@@ -624,9 +624,9 @@ class TestConfigValidation:
             pytest.param(lambda: SimulationConfig(ptv_threshold=0.0, **CELL),
                          "ptv_threshold must lie in (0, 1]", id="ptv"),
             pytest.param(lambda: SimulationConfig(min_components=0, **CELL),
-                         "min_components must be at least 1", id="min-components"),
+                         "min_components must be an integer >= 1, got 0", id="min-components"),
             pytest.param(lambda: SimulationConfig(components=5, **CELL),
-                         "components must lie in [1, 4]", id="components"),
+                         "components must be an integer in [1, 4], got 5", id="components"),
             pytest.param(lambda: StudyGrid(n_values=()),
                          "n_values must be nonempty", id="grid-empty"),
         ],
@@ -649,5 +649,5 @@ class TestConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError) as err:
             SimulationConfig(n=100, p=4, rho=0.5, seed=-1)
-        assert str(err.value) == "seed must be a non-negative integer, got -1"
+        assert str(err.value) == "seed must be an integer >= 0, got -1"
         SimulationConfig(n=100, p=4, rho=0.5, seed=0)
