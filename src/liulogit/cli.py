@@ -54,7 +54,7 @@ from .io import (
     render_table_text,
     study_to_json,
 )
-from .model import FitConfig, _as_count
+from .model import FitConfig, _as_array, _as_count
 from .msem import asymptotic_msem, psd_dominates, theorem_condition
 from .simulation import (
     _DESIGN_SCALINGS,
@@ -313,8 +313,8 @@ def _fit_report_rows(report):
 
 
 def _run_simulate(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers is not None:
+        _as_count(args.workers, "--workers", 1)
     seed = args.seed if args.seed is not None else _default_seed()
     grid = StudyGrid(p_values=args.p, n_values=args.n, rho_values=args.rho)
     base = SimulationConfig(
@@ -385,10 +385,13 @@ def _run_compare(args) -> int:
     beta = None if args.beta_file is None else _read_beta_file(args.beta_file)
     dataset = _read_dataset(args)
     # a wrong-length file is reported before IRLS runs
-    if beta is not None and beta.shape != (dataset.p,):
-        raise DatasetFormatError(
-            f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
-        )
+    if beta is not None:
+        try:
+            _as_array(beta, "beta", (dataset.p,))
+        except ValueError:
+            raise DatasetFormatError(
+                f"beta file {args.beta_file} must hold {dataset.p} values, got {beta.size}"
+            ) from None
     row = _fit_pipeline(args, dataset)
     r, params = row.rule["r"], ShrinkageParams(row.rule["k"], row.rule["d"])
     split = row.decomp.split(r)

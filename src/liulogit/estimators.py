@@ -35,8 +35,9 @@ from .errors import DecompositionError, SingularSystemError
 from .model import (
     BatchFit,
     LogisticFit,
+    _as_array,
+    _as_beta,
     _as_count,
-    _as_design,
     _design_map,
     _refuse_singular,
     irls_fit_batch,
@@ -88,11 +89,9 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         T = np.asarray(self.T, dtype=float)
-        lam = np.asarray(self.lambdas, dtype=float)
         if T.ndim < 2 or T.shape[-2] != T.shape[-1]:
             raise ValueError("T must be square")
-        if lam.shape != T.shape[:-1]:
-            raise ValueError("lambdas length must match T")
+        lam = _as_array(self.lambdas, "lambdas", T.shape[:-1])
         if np.any(np.diff(lam, axis=-1) > 0):
             raise ValueError("lambdas must be sorted descending")
         object.__setattr__(self, "T", T)
@@ -137,7 +136,9 @@ class ComponentSplit:
     r: int
 
     def __post_init__(self):
-        _as_count(self.r, "r", 1, self.decomposition.p)
+        # one r for every system of a stack: the slices [..., :r] take a scalar
+        if np.ndim(_as_count(self.r, "r", 1, self.decomposition.p)):
+            raise ValueError(f"r must be one integer, got {self.r!r}")
 
     @property
     def p(self) -> int:
@@ -240,7 +241,8 @@ def spectral_decompose(X, v_diag) -> SpectralDecomposition:
 
     The one-row case of ``spectral_decompose_batch``.
     """
-    row = spectral_decompose_batch(X, np.asarray(v_diag, dtype=float)[None])
+    gram = _design_map(X)
+    row = spectral_decompose_batch(gram, _as_array(v_diag, "v_diag", gram.X.shape[:1])[None])
     _refuse_indefinite(row, 0)
     return row.select(0)
 
@@ -264,10 +266,11 @@ def spectral_decompose_batch(X, v_rows) -> SpectralDecomposition:
     The package's one eigendecomposition: X'VX is formed, exactly
     symmetric, by X's ``_GramMap`` for each row of v_rows (b, n) and all
     rows share one stacked ``eigh``.  X may be a design's map, built once
-    for all its weights; a plain X gets a map of its own.
+    for all its weights; a plain X is checked as a design and gets a map of
+    its own.
     """
     gram = _design_map(X)
-    A = gram(np.asarray(v_rows, dtype=float))
+    A = gram(_as_array(v_rows, "v_rows", (None, gram.X.shape[0])))
     finite = np.all(np.isfinite(A), axis=(-2, -1))
     # non-finite rows are decomposed as the identity, then lose their
     # eigenvalues
@@ -364,7 +367,8 @@ def point_estimate(
         raise ValueError("estimator requires a converged fit")
     if decomp is None:
         decomp = spectral_decompose(X, fit.v_diag)
-    return _apply_filters(decomp.T, [spec.factors(decomp.lambdas)], fit.beta)[0]
+    beta = _as_beta(fit.beta, (decomp.p,))
+    return _apply_filters(decomp.T, [spec.factors(decomp.lambdas)], beta)[0]
 
 
 def mle_estimate(fit: LogisticFit, X) -> np.ndarray:
@@ -410,11 +414,8 @@ def choose_k(lambdas, alpha_hat, d) -> KSelection:
     warning.  ``lambdas``, ``alpha_hat`` and ``d`` may carry leading batch axes;
     both fields are then arrays of the batch shape, else a float and a bool.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    alpha = np.asarray(alpha_hat, dtype=float)
-    if lam.shape != alpha.shape:
-        raise ValueError("lambdas and alpha_hat must have equal length")
-    _check_lambdas(lam)
+    lam = _check_lambdas(lambdas)
+    alpha = _as_array(alpha_hat, "alpha_hat", lam.shape)
     d = np.asarray(d, dtype=float)[..., None]
     alpha_sq = np.maximum(alpha**2, ALPHA_FLOOR**2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -434,21 +435,22 @@ def select_parameters(
 
     r is ``select_components`` floored at ``min_components`` and capped at
     p, d is ``choose_d``, and k is ``choose_k`` at that d and the ML
-    eigencoordinates T'beta of ``beta`` (..., p); ``_check_given`` refuses
-    a bad given value as ``fit`` does.  Returns (r, k, d, k_clamped)
+    eigencoordinates T'beta of ``beta``, finite and of the lambdas' shape;
+    ``_check_given`` refuses a bad given value as ``fit`` does.  Returns (r, k, d, k_clamped)
     broadcast to the batch shape of ``decomp``; a given k is never clamped.
     """
     lam = decomp.lambdas
     p = lam.shape[-1]
     _check_given(p, ptv_threshold, r, k, d)
     _as_count(min_components, "min_components", 1)
+    beta = _as_beta(beta, lam.shape)
     if r is None:
         r = np.clip(select_components(lam, ptv_threshold), min_components, p)
     if d is None:
         d = choose_d(lam)
     clamped = False
     if k is None:
-        alpha = (decomp.T.swapaxes(-1, -2) @ np.asarray(beta)[..., None])[..., 0]
+        alpha = (decomp.T.swapaxes(-1, -2) @ beta[..., None])[..., 0]
         k, clamped = choose_k(lam, alpha, d)
     return tuple(np.broadcast_to(value, lam.shape[:-1]) for value in (r, k, d, clamped))
 
@@ -502,7 +504,7 @@ def _estimate_block(X, Y, config, ptv, *, r=None, k=None, d=None, min_components
     would get alone, so ``simulate_cell`` passes a block and ``fit`` and
     ``compare`` ``y[None]``.
     """
-    gram = _design_map(X, _as_design)
+    gram = _design_map(X)
     # a given ptv, r, k or d is refused before IRLS runs
     _check_given(gram.X.shape[1], ptv, r, k, d)
     fit = irls_fit_batch(gram, Y, config)

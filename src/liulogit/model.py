@@ -38,20 +38,6 @@ HALVING_TRIES = 11
 LOGLIK_SLACK = 1e-11
 
 
-def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
-    return X
-
-
-def _as_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    return v
-
-
 def _as_count(value, name: str, low: int, high: float = np.inf):
     """``value`` if it is an integer in [low, high], the package's one check of a count:
     a Python int of any size, a numpy integer or an integer array, never a bool."""
@@ -63,8 +49,35 @@ def _as_count(value, name: str, low: int, high: float = np.inf):
     return value
 
 
+def _as_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, where an axis given as None takes
+    any length (shown as *): the package's one check of an array argument."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != len(shape) or any(w not in (None, m) for w, m in zip(shape, a.shape)):
+        # a one-axis shape reads (3,), as Python prints a 1-tuple
+        axes = ", ".join("*" if w is None else str(w) for w in shape) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must have shape ({axes}), got {a.shape}")
+    return a
+
+
+def _as_beta(beta, shape: tuple) -> np.ndarray:
+    """A coefficient vector (or a stack of them) of ``shape``, every entry finite."""
+    beta = _as_array(beta, "beta", shape)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta contains non-finite entries")
+    return beta
+
+
+def _as_probabilities(pi, shape: tuple) -> np.ndarray:
+    """Probabilities of ``shape``, each strictly inside (0, 1); NaN is not."""
+    pi = _as_array(pi, "pi", shape)
+    if not np.all((pi > 0.0) & (pi < 1.0)):
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    return pi
+
+
 def _as_design(X) -> np.ndarray:
-    X = _as_matrix(X)
+    X = _as_array(X, "X", (None, None))
     if not np.all(np.isfinite(X)):
         raise ValueError("design matrix contains non-finite entries")
     n, p = X.shape
@@ -86,10 +99,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        y = _as_vector(self.y, "y")
         X = _as_design(self.X)
-        if y.shape[0] != X.shape[0]:
-            raise ValueError(f"response length {y.shape[0]} != row count {X.shape[0]}")
+        y = _as_array(self.y, "y", X.shape[:1])
         _check_binary(y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -159,15 +170,8 @@ def _clipped_logistic(eta: np.ndarray, clip: float) -> np.ndarray:
 
 
 def _linear_predictor(X, beta) -> np.ndarray:
-    X = _as_matrix(X)
-    beta = _as_vector(beta, "beta")
-    if X.shape[1] != beta.shape[0]:
-        raise ValueError(
-            f"X has {X.shape[1]} columns but beta has length {beta.shape[0]}"
-        )
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("beta contains non-finite entries")
-    return X @ beta
+    X = _as_array(X, "X", (None, None))
+    return X @ _as_beta(beta, X.shape[1:])
 
 
 def predict_probabilities(X, beta, clip: float = FitConfig.probability_clip) -> np.ndarray:
@@ -177,27 +181,21 @@ def predict_probabilities(X, beta, clip: float = FitConfig.probability_clip) -> 
 
 def log_likelihood(y, pi) -> float:
     """Bernoulli log-likelihood sum(y*log(pi) + (1-y)*log(1-pi))."""
-    y = _as_vector(y, "y")
-    pi = _as_vector(pi, "pi")
-    if y.shape != pi.shape:
-        raise ValueError("y and pi must have equal length")
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    y = _as_array(y, "y", (None,))
+    pi = _as_probabilities(pi, y.shape)
     return float(np.sum(y * np.log(pi) + (1.0 - y) * np.log1p(-pi)))
 
 
 def weight_diagonal(pi) -> np.ndarray:
     """Bernoulli variances pi*(1-pi); each entry lies in (0, 1/4]."""
-    pi = _as_vector(pi, "pi")
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
+    pi = _as_probabilities(pi, (None,))
     return pi * (1.0 - pi)
 
 
 def working_response(X, beta, y, clip: float = FitConfig.probability_clip) -> np.ndarray:
     """Linearized response z = x'b + (y - pi)/(pi*(1-pi)) at clipped pi."""
     eta = _linear_predictor(X, beta)
-    y = _as_vector(y, "y")
+    y = _as_array(y, "y", eta.shape)
     pi = _clipped_logistic(eta, clip)
     return eta + (y - pi) / (pi * (1.0 - pi))
 
@@ -336,9 +334,9 @@ class _GramMap:
         return gram
 
 
-def _design_map(X, validate=lambda X: np.asarray(X, dtype=float)) -> _GramMap:
-    # X itself when it is a design's _GramMap, else a map of validate(X)
-    return X if isinstance(X, _GramMap) else _GramMap(validate(X))
+def _design_map(X) -> _GramMap:
+    # X itself when it is a design's _GramMap, else a map of the checked design X
+    return X if isinstance(X, _GramMap) else _GramMap(_as_design(X))
 
 
 def _newton_steps(hessian: np.ndarray, score: np.ndarray):
@@ -388,11 +386,9 @@ def irls_fit_batch(X, Y, config: FitConfig = FitConfig()) -> BatchFit:
     and each row's arithmetic is independent of the others.  X may be a
     design's ``_GramMap``; a plain X gets one for all its steps.
     """
-    gram = _design_map(X, _as_design)
+    gram = _design_map(X)
     X = gram.X
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != X.shape[0]:
-        raise ValueError(f"Y must have shape (b, {X.shape[0]}), got {Y.shape}")
+    Y = _as_array(Y, "Y", (None, X.shape[0]))
     _check_binary(Y)
     clip = config.probability_clip
     tolerance = config.tolerance

@@ -29,6 +29,7 @@ from .estimators import (
     ShrinkageParams,
     SpectralDecomposition,
 )
+from .model import _as_beta
 
 __all__ = [
     "MsemReport",
@@ -96,13 +97,6 @@ def pcltl_covariance(split: ComponentSplit, params: ShrinkageParams) -> np.ndarr
     return asymptotic_msem(spec, split.decomposition, np.zeros(split.p)).covariance
 
 
-def _beta_vector(beta, p: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (p,):
-        raise ValueError("beta length must match the decomposition dimension")
-    return beta
-
-
 def _error_terms(spec: EstimatorSpec, decomp: SpectralDecomposition, beta):
     """Eigen-coordinate variances g^2/lambda and bias u = (g - 1) T' beta."""
     g = spec.factors(decomp.lambdas)
@@ -122,7 +116,7 @@ def asymptotic_msem(
     An MSEM that overflows (a huge d or beta) raises ``DecompositionError``
     naming the estimator, and no RuntimeWarning.
     """
-    beta = _beta_vector(beta, decomp.p)
+    beta = _as_beta(beta, (decomp.p,))
     with np.errstate(over="ignore", invalid="ignore"):
         variances, u = _error_terms(spec, decomp, beta)
         cov = (decomp.T * variances) @ decomp.T.T
@@ -188,7 +182,7 @@ def _checked_verdict(theorem, value, holds, incumbent, beta, split, params):
 
 def _span_verdict(theorem, basis, incumbent, beta, split, params):
     """PCLTL against ``incumbent`` when beta has no component on ``basis``."""
-    beta = _beta_vector(beta, split.p)
+    beta = _as_beta(beta, (split.p,))
     value = float(np.max(np.abs(basis.T @ beta), initial=0.0))
     return _checked_verdict(
         theorem, value, value <= ZERO_TOL, incumbent, beta, split, params
@@ -211,7 +205,7 @@ def theorem_3_1_condition(
     and its agreement with the scalar condition recorded, so any
     disagreement is observable data.
     """
-    beta = _beta_vector(beta, split.p)
+    beta = _as_beta(beta, (split.p,))
     k, d = params.k, params.d
     if not (d < k and d + k > 0.0):
         return DominanceVerdict("T3_1", condition_value=None, holds=None)

@@ -27,7 +27,7 @@ from .estimators import (
     _estimate_block,
     spectral_decompose_batch,
 )
-from .model import FitConfig, _as_count, _design_map, _GramMap, logistic
+from .model import FitConfig, _as_count, _design_map, _GramMap, _linear_predictor, logistic
 
 __all__ = [
     "SimulationConfig",
@@ -190,7 +190,8 @@ def newhouse_oman_beta(X) -> np.ndarray:
 
     That is ``spectral_decompose_batch`` at unit weights, with its order
     and sign rules; an X'X that is not ``positive_definite`` is refused.
-    X may be a design's ``_GramMap`` or a plain X, with the same bits.
+    X may be a design's ``_GramMap`` or a plain X, checked as a design, with
+    the same bits.
     """
     gram = _design_map(X)
     decomp = spectral_decompose_batch(gram, np.ones((1, gram.X.shape[0])))
@@ -201,9 +202,8 @@ def newhouse_oman_beta(X) -> np.ndarray:
 
 def generate_response(X, beta, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli draws with success probabilities logistic(X beta)."""
-    X = np.asarray(X, dtype=float)
-    pi = logistic(X @ np.asarray(beta, dtype=float))
-    return (rng.random(X.shape[0]) < pi).astype(float)
+    pi = logistic(_linear_predictor(X, beta))
+    return (rng.random(pi.shape[0]) < pi).astype(float)
 
 
 def _build_design(config: SimulationConfig, rng) -> tuple[_GramMap, np.ndarray]:
@@ -360,7 +360,7 @@ def run_cells(
     the run.
     """
     # a forked pool starts all its workers at once: no more than there are cells
-    workers = min(workers or 1, len(configs))
+    workers = min(1 if workers is None else _as_count(workers, "workers", 1), len(configs))
     if workers <= 1:
         return [_cell_outcome(config) for config in configs]
     # imported here, so that serial runs never load multiprocessing

@@ -34,7 +34,7 @@ from liulogit import (
     spectral_decompose,
     spectral_decompose_batch,
 )
-from liulogit import estimators, model, simulation
+from liulogit import estimators, model, msem, simulation
 from liulogit.model import Dataset, irls_fit, irls_fit_batch
 
 from _oracles import dense_decompose
@@ -434,12 +434,13 @@ class TestValidationMessages:
             pytest.param(lambda: SpectralDecomposition(np.ones((2, 3)), np.ones(2)),
                          "T must be square", id="decomposition-not-square"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), np.ones(3)),
-                         "lambdas length must match T", id="decomposition-length"),
+                         "lambdas must have shape (2,), got (3,)", id="decomposition-length"),
             pytest.param(lambda: SpectralDecomposition(np.eye(2), [1.0, 2.0]),
                          "lambdas must be sorted descending", id="decomposition-order"),
             pytest.param(lambda: SpectralDecomposition(np.stack([np.eye(2)] * 3),
                                                        np.ones((2, 2))),
-                         "lambdas length must match T", id="stacked-decomposition-length"),
+                         "lambdas must have shape (3, 2), got (2, 2)",
+                         id="stacked-decomposition-length"),
             pytest.param(lambda: SpectralDecomposition(np.stack([np.eye(2)] * 3),
                                                        [[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]]),
                          "lambdas must be sorted descending",
@@ -472,8 +473,7 @@ class TestValidationMessages:
             pytest.param(lambda: choose_k([3.0, np.nan, 1.0], [1.0, 1.0, 1.0], 0.1),
                          "lambdas must be positive", id="choose-k-nan"),
             pytest.param(lambda: choose_k([1.0], [1.0, 1.0], 0.1),
-                         "lambdas and alpha_hat must have equal length",
-                         id="choose-k-length"),
+                         "alpha_hat must have shape (1,), got (2,)", id="choose-k-length"),
         ],
     )
     def test_rejects_with_message(self, call, message):
@@ -959,6 +959,7 @@ class TestDropReason:
 
 
 COUNT_DECOMP = SpectralDecomposition(np.eye(3), [3.0, 2.0, 1.0])
+STACKED_DECOMP = SpectralDecomposition(np.stack([np.eye(3)] * 2), [[3.0, 2.0, 1.0]] * 2)
 COUNT_X = correlated_design(30, 3, 0.5, np.random.default_rng(3))
 COUNT_Y = (np.random.default_rng(4).random((2, 30)) < 0.5).astype(float)
 CELL = dict(n=100, p=4, rho=0.5)
@@ -989,6 +990,8 @@ COUNTS = {
         "components", lambda c: SimulationConfig(components=c, **CELL), 3, 5),
     "FitConfig-max_iterations": (
         "max_iterations", lambda m: FitConfig(max_iterations=m), 3, 0),
+    # no cells: a valid count runs nothing, serially
+    "run_cells-workers": ("workers", lambda w: simulation.run_cells([], w), 2, 0),
 }
 
 
@@ -1025,6 +1028,133 @@ class TestCountContract:
         for r in (np.array([1.0, 3.0]), np.array([True, True]), np.array([0, 3])):
             with pytest.raises(ValueError, match="^r must be an integer in \\[1, 3\\], got"):
                 filter_factors(EstimatorKind.PCLR, lam, r)
+
+    def test_split_takes_one_r(self):
+        # its slices [..., :r] keep the same axes of every system of a stack
+        assert STACKED_DECOMP.split(np.int64(2)).t_r.shape == (2, 3, 2)
+        with pytest.raises(ValueError, match=r"^r must be one integer, got array\(\[1, 2\]\)$"):
+            STACKED_DECOMP.split(np.array([1, 2]))
+
+
+COUNT_SPLIT = COUNT_DECOMP.split(2)
+COUNT_PARAMS = ShrinkageParams(k=1.0, d=0.1)
+ML_SPEC = EstimatorSpec(EstimatorKind.ML)
+
+
+def fit_at(beta):
+    return synthetic_fit(beta, np.full(30, 0.25), np.zeros(30))
+
+
+# every entry point that takes a coefficient vector, as a call of beta (p = 3)
+BETA_CALLS = {
+    "predict_probabilities": lambda b: model.predict_probabilities(COUNT_X, b),
+    "working_response": lambda b: model.working_response(COUNT_X, b, COUNT_Y[0]),
+    "generate_response": lambda b: simulation.generate_response(
+        COUNT_X, b, np.random.default_rng(0)),
+    "select_parameters": lambda b: select_parameters(COUNT_DECOMP, b, 0.75),
+    "point_estimate": lambda b: point_estimate(fit_at(b), COUNT_X, ML_SPEC, COUNT_DECOMP),
+    "asymptotic_msem": lambda b: msem.asymptotic_msem(ML_SPEC, COUNT_DECOMP, b),
+    "pcltl_bias": lambda b: msem.pcltl_bias(b, COUNT_SPLIT, COUNT_PARAMS),
+    "theorem_3_1": lambda b: msem.theorem_3_1_condition(b, COUNT_SPLIT, COUNT_PARAMS),
+    "theorem_3_2": lambda b: msem.theorem_3_2_condition(b, COUNT_SPLIT, COUNT_PARAMS),
+    "theorem_3_3": lambda b: msem.theorem_3_3_condition(b, COUNT_SPLIT, COUNT_PARAMS),
+    "theorem_condition": lambda b: msem.theorem_condition(
+        EstimatorKind.PCLTL, EstimatorKind.ML, b, COUNT_SPLIT, COUNT_PARAMS),
+}
+
+# every other array argument, given a wrong shape, and the message it gets
+ARRAY_SHAPES = {
+    "Dataset-X": (lambda: Dataset(np.ones(3), np.ones(3)), "X", "(*, *)", "(3,)"),
+    "Dataset-y": (lambda: Dataset(np.ones((3, 1)), np.ones((3, 1))), "y", "(3,)", "(3, 1)"),
+    "predict_probabilities-X": (
+        lambda: model.predict_probabilities(np.ones(3), np.ones(3)), "X", "(*, *)", "(3,)"),
+    "working_response-y": (
+        lambda: model.working_response(COUNT_X, np.ones(3), np.ones(29)), "y", "(30,)", "(29,)"),
+    "log_likelihood-y": (
+        lambda: model.log_likelihood(np.ones((2, 2)), np.full((2, 2), 0.5)),
+        "y", "(*,)", "(2, 2)"),
+    "log_likelihood-pi": (
+        lambda: model.log_likelihood(np.ones(2), np.full(3, 0.5)), "pi", "(2,)", "(3,)"),
+    "weight_diagonal-pi": (
+        lambda: model.weight_diagonal(np.full((2, 2), 0.5)), "pi", "(*,)", "(2, 2)"),
+    "irls_fit_batch-X": (lambda: irls_fit_batch(np.ones(30), COUNT_Y), "X", "(*, *)", "(30,)"),
+    "irls_fit_batch-Y": (lambda: irls_fit_batch(COUNT_X, COUNT_Y[0]), "Y", "(*, 30)", "(30,)"),
+    "estimate_block-X": (
+        lambda: estimators._estimate_block(np.ones(30), COUNT_Y, FitConfig(), 0.75),
+        "X", "(*, *)", "(30,)"),
+    "spectral_decompose-X": (
+        lambda: spectral_decompose(np.ones(5), np.ones(5)), "X", "(*, *)", "(5,)"),
+    "spectral_decompose-v_diag": (
+        lambda: spectral_decompose(COUNT_X, np.full(29, 0.25)), "v_diag", "(30,)", "(29,)"),
+    "spectral_decompose_batch-X": (
+        lambda: spectral_decompose_batch(np.ones(5), np.ones((1, 5))), "X", "(*, *)", "(5,)"),
+    "spectral_decompose_batch-v_rows": (
+        lambda: spectral_decompose_batch(COUNT_X, np.full(30, 0.25)),
+        "v_rows", "(*, 30)", "(30,)"),
+    "newhouse_oman_beta-X": (
+        lambda: simulation.newhouse_oman_beta(np.ones(5)), "X", "(*, *)", "(5,)"),
+    "generate_response-X": (
+        lambda: simulation.generate_response(np.ones(3), np.ones(3), np.random.default_rng(0)),
+        "X", "(*, *)", "(3,)"),
+    "point_estimate-X": (
+        lambda: point_estimate(fit_at(np.ones(3)), np.ones(30), ML_SPEC), "X", "(*, *)", "(30,)"),
+    "SpectralDecomposition-lambdas": (
+        lambda: SpectralDecomposition(np.eye(3), np.ones((1, 3))), "lambdas", "(3,)", "(1, 3)"),
+    "choose_k-alpha_hat": (
+        lambda: choose_k([2.0, 1.0], np.ones(3), 0.1), "alpha_hat", "(2,)", "(3,)"),
+    "select_parameters-stacked-beta": (
+        lambda: select_parameters(STACKED_DECOMP, np.ones(3), 0.75),
+        "beta", "(2, 3)", "(3,)"),
+}
+
+
+class TestArrayContract:
+    """Every array argument is checked by one helper: a wrong shape is one
+    ValueError, ``NAME must have shape (...), got (...)`` with * for an axis of
+    any length, and a coefficient vector must also be finite."""
+
+    @pytest.mark.parametrize("entry", list(BETA_CALLS))
+    def test_valid_beta_passes(self, entry):
+        BETA_CALLS[entry](np.ones(3))
+        BETA_CALLS[entry]([1.0, -0.5, 0.25])
+
+    @pytest.mark.parametrize("entry", list(BETA_CALLS))
+    @pytest.mark.parametrize(
+        "beta, got", [(np.ones(2), "(2,)"), (np.ones((3, 1)), "(3, 1)"), (1.0, "()")],
+        ids=["short", "column", "scalar"],
+    )
+    def test_beta_of_wrong_shape_refused(self, entry, beta, got):
+        message = f"beta must have shape (3,), got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BETA_CALLS[entry](beta)
+
+    @pytest.mark.parametrize("entry", list(BETA_CALLS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_beta_refused(self, entry, bad):
+        with pytest.raises(ValueError, match="^beta contains non-finite entries$"):
+            BETA_CALLS[entry]([1.0, bad, 1.0])
+
+    @pytest.mark.parametrize("entry", list(ARRAY_SHAPES))
+    def test_wrong_shape_refused_with_one_message(self, entry):
+        call, name, shape, got = ARRAY_SHAPES[entry]
+        message = f"{name} must have shape {shape}, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda X: spectral_decompose(X, np.full(30, 0.25)),
+         lambda X: spectral_decompose_batch(X, np.full((1, 30), 0.25)),
+         simulation.newhouse_oman_beta],
+        ids=["spectral_decompose", "spectral_decompose_batch", "newhouse_oman_beta"],
+    )
+    def test_plain_x_is_checked_as_a_design(self, call):
+        X = COUNT_X.copy()
+        X[4, 1] = np.nan
+        with pytest.raises(ValueError, match="^design matrix contains non-finite entries$"):
+            call(X)
+        with pytest.raises(ValueError, match="^need n >= p >= 1, got n=2, p=3$"):
+            call(COUNT_X[:2])
 
 
 class TestInputsUntouched:

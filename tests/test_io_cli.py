@@ -420,7 +420,7 @@ class TestFitCommand:
             (["fit", "--input", "{csv}", "--tol", "inf"],
              "tolerance must be finite and positive"),
             (["simulate", "--workers", "0", "--out", "{tmp}/out"],
-             "--workers must be at least 1, got 0"),
+             "--workers must be an integer >= 1, got 0"),
             (["simulate", "--p", "4,4", "--reps", "2"], "p_values lists 4 more than once"),
             (["simulate", "--n", "200,500,200", "--reps", "2"],
              "n_values lists 200 more than once"),
@@ -862,7 +862,7 @@ class TestSimulateCommand:
                      "--workers", "-3", "--out", str(out)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "usage error: --workers must be at least 1, got -3\n"
+            "usage error: --workers must be an integer >= 1, got -3\n"
         )
         assert not out.exists()
 

@@ -413,18 +413,21 @@ class TestValidation:
         "call, message",
         [
             pytest.param(lambda: predict_probabilities(np.ones(3), np.ones(3)),
-                         "design matrix must be 2-d, got shape (3,)", id="design-1d"),
+                         "X must have shape (*, *), got (3,)", id="design-1d"),
             pytest.param(lambda: predict_probabilities(np.ones((3, 2)), [[1.0], [1.0]]),
-                         "beta must be 1-d, got shape (2, 1)", id="beta-2d"),
+                         "beta must have shape (2,), got (2, 1)", id="beta-2d"),
             pytest.param(lambda: Dataset(X=np.ones((3, 1)), y=np.array([0.0, 1.0])),
-                         "response length 2 != row count 3", id="dataset-length"),
+                         "y must have shape (3,), got (2,)", id="dataset-length"),
             pytest.param(lambda: predict_probabilities(np.ones((2, 1)), [np.nan]),
                          "beta contains non-finite entries", id="beta-non-finite"),
             pytest.param(lambda: log_likelihood([1.0, 0.0], [0.5]),
-                         "y and pi must have equal length", id="loglik-length"),
+                         "pi must have shape (2,), got (1,)", id="loglik-length"),
             pytest.param(lambda: weight_diagonal([0.5, 1.0]),
                          "probabilities must lie strictly inside (0, 1)",
                          id="weights-range"),
+            pytest.param(lambda: log_likelihood([1.0, 0.0], [0.5, np.nan]),
+                         "probabilities must lie strictly inside (0, 1)",
+                         id="loglik-nan"),
         ],
     )
     def test_rejects_with_message(self, call, message):

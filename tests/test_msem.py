@@ -393,9 +393,7 @@ class TestTheoremCondition:
     )
     def test_beta_length_is_checked(self, theorem):
         decomp = random_decomposition(3, np.random.default_rng(56))
-        with pytest.raises(
-            ValueError, match="beta length must match the decomposition dimension"
-        ):
+        with pytest.raises(ValueError, match=r"^beta must have shape \(3,\), got \(2,\)$"):
             theorem(np.ones(2), decomp.split(2), ShrinkageParams(k=1.0, d=0.2))
 
     def test_theorem_is_looked_up_at_call_time(self, monkeypatch):
